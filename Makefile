@@ -8,6 +8,9 @@
 # byte-identical to the uninstrumented run), and a checkpoint smoke
 # (checkpointed and restored runs must reproduce the uninterrupted
 # trace CSV and registry JSON byte-for-byte).
+# The workspace builds in the release profile (see dune-workspace);
+# `make dev-build` keeps the dev profile building warning-clean in its
+# own build directory, and `make ci` runs it first.
 
 SMOKE_JSON ?= /tmp/rla_sweep_smoke.json
 TRACE_CSV ?= /tmp/rla_trace_smoke.csv
@@ -18,7 +21,7 @@ PAR_DIR ?= /tmp/rla_par_smoke
 MF_DIR ?= /tmp/rla_meanfield_smoke
 HOSTILE_DIR ?= /tmp/rla_hostile_smoke
 
-.PHONY: all build test lint smoke trace-smoke churn-smoke \
+.PHONY: all build dev-build test lint smoke trace-smoke churn-smoke \
   invariant-smoke ckpt-smoke par-smoke meanfield-smoke hostile-smoke \
   check ci bench bench-churn bench-perf bench-scale bench-meanfield \
   bench-hostile bench-trend clean
@@ -27,6 +30,9 @@ all: build
 
 build:
 	dune build @all
+
+dev-build:
+	dune build --profile dev --build-dir _build_dev @all
 
 test:
 	dune runtest
@@ -157,7 +163,7 @@ hostile-smoke: build
 
 check: build test smoke
 
-ci: lint check trace-smoke churn-smoke invariant-smoke ckpt-smoke \
+ci: dev-build lint check trace-smoke churn-smoke invariant-smoke ckpt-smoke \
   par-smoke meanfield-smoke hostile-smoke bench-trend
 
 bench:

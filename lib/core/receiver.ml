@@ -5,10 +5,15 @@ type t = {
   sender : Net.Packet.addr;
   rng : Sim.Rng.t;
   ack_jitter : float;
-  (* Delayed acknowledgments in flight, keyed by event id; the payload
-     snapshot (cum/sack) happens at fire time, so only the data packet's
-     echo timestamp and ECN bit need remembering for restore. *)
-  pending_acks : (Sim.Scheduler.event_id, float * bool) Hashtbl.t;
+  (* Delayed acknowledgments in flight, one slot each: the event id
+     (-1 marks a free slot), the data packet's echo timestamp and ECN
+     bit (the cum/sack snapshot happens at fire time), and the slot's
+     own event closure.  A slot's closure is built once, when the slot
+     is created, so scheduling an ack allocates nothing. *)
+  mutable ack_ids : Sim.Scheduler.event_id array;
+  mutable ack_echoes : float array;
+  mutable ack_eces : bool array;
+  mutable ack_thunks : (unit -> unit) array;
   ooo : (int, unit) Hashtbl.t;
   mutable recent : int list;
   mutable expected : int;
@@ -75,20 +80,45 @@ let emit_ack t ~echo ~ece =
   in
   Net.Network.send t.net pkt
 
+let fire_ack t slot =
+  let echo = t.ack_echoes.(slot) and ece = t.ack_eces.(slot) in
+  t.ack_ids.(slot) <- -1;
+  emit_ack t ~echo ~ece
+
+(* A free slot, growing the slot arrays when all are in use. *)
+let free_slot t =
+  let n = Array.length t.ack_ids in
+  let rec scan i =
+    if i = n then begin
+      let cap = Int.max 4 (2 * n) in
+      let grow a fill = Array.init cap (fun i -> if i < n then a.(i) else fill i) in
+      t.ack_ids <- grow t.ack_ids (fun _ -> -1);
+      t.ack_echoes <- grow t.ack_echoes (fun _ -> 0.0);
+      t.ack_eces <- grow t.ack_eces (fun _ -> false);
+      t.ack_thunks <- grow t.ack_thunks (fun i () -> fire_ack t i);
+      n
+    end
+    else if t.ack_ids.(i) < 0 then i
+    else scan (i + 1)
+  in
+  scan 0
+
+let[@inline] hold_ack t slot ~id ~echo ~ece =
+  t.ack_ids.(slot) <- id;
+  t.ack_echoes.(slot) <- echo;
+  t.ack_eces.(slot) <- ece
+
 let send_ack t ~echo ~ece =
   if t.ack_jitter <= 0.0 then emit_ack t ~echo ~ece
   else begin
-    let rid = ref (-1) in
+    let slot = free_slot t in
     let id =
       Sim.Scheduler.schedule_after
         (Net.Network.scheduler t.net)
         (Sim.Rng.float t.rng t.ack_jitter)
-        (fun () ->
-          Hashtbl.remove t.pending_acks !rid;
-          emit_ack t ~echo ~ece)
+        t.ack_thunks.(slot)
     in
-    rid := id;
-    Hashtbl.replace t.pending_acks id (echo, ece)
+    hold_ack t slot ~id ~echo ~ece
   end
 
 let on_data t ~seq ~sent_at ~rexmit ~ecn =
@@ -102,7 +132,11 @@ let on_data t ~seq ~sent_at ~rexmit ~ecn =
       Hashtbl.remove t.ooo t.expected;
       t.expected <- t.expected + 1
     done;
-    t.recent <- List.filter (fun r -> r >= t.expected) t.recent
+    (* Guarded: the filter's closure would be allocated even for the
+       empty list of an in-order stream. *)
+    match t.recent with
+    | [] -> ()
+    | recent -> t.recent <- List.filter (fun r -> r >= t.expected) recent
   end
   else begin
     Hashtbl.replace t.ooo seq ();
@@ -123,7 +157,10 @@ let create ~net ~node ~flow ~sender ?(ack_jitter = 0.002) ?(start = 0) () =
       sender;
       rng = Net.Network.fork_rng net;
       ack_jitter;
-      pending_acks = Hashtbl.create 8;
+      ack_ids = [||];
+      ack_echoes = [||];
+      ack_eces = [||];
+      ack_thunks = [||];
       ooo = Hashtbl.create 64;
       recent = [];
       expected = start;
@@ -165,9 +202,9 @@ let capture t =
     s_duplicates = t.duplicates;
     s_rexmits_received = t.rexmits_received;
     s_pending_acks =
-      Hashtbl.fold
-        (fun id (echo, ece) acc -> (id, echo, ece) :: acc)
-        t.pending_acks []
+      List.init (Array.length t.ack_ids) (fun i ->
+          (t.ack_ids.(i), t.ack_echoes.(i), t.ack_eces.(i)))
+      |> List.filter (fun (id, _, _) -> id >= 0)
       |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b);
   }
 
@@ -180,12 +217,11 @@ let restore t st =
   t.received_total <- st.s_received_total;
   t.duplicates <- st.s_duplicates;
   t.rexmits_received <- st.s_rexmits_received;
-  Hashtbl.reset t.pending_acks;
+  Array.fill t.ack_ids 0 (Array.length t.ack_ids) (-1);
   let sched = Net.Network.scheduler t.net in
   List.iter
     (fun (id, echo, ece) ->
-      Hashtbl.replace t.pending_acks id (echo, ece);
-      Sim.Scheduler.rearm sched ~id (fun () ->
-          Hashtbl.remove t.pending_acks id;
-          emit_ack t ~echo ~ece))
+      let slot = free_slot t in
+      hold_ack t slot ~id ~echo ~ece;
+      Sim.Scheduler.rearm sched ~id t.ack_thunks.(slot))
     st.s_pending_acks

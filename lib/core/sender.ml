@@ -18,6 +18,16 @@ type taps = {
   signals_c : Obs.Registry.counter;
 }
 
+(* The window's floats sit in a record of floats only, which OCaml
+   stores flat: as mutable fields of the mixed record [t], every window
+   update on every ack would box a fresh float. *)
+type window = { mutable cwnd : float; mutable ssthresh : float }
+
+(* [timer] holds [no_timer] when unarmed: re-armed whenever the
+   acked-by-all frontier moves, it would otherwise allocate a [Some]
+   cell each time. *)
+let no_timer = -1
+
 type t = {
   net : Net.Network.t;
   params : Params.t;
@@ -30,8 +40,7 @@ type t = {
   rng : Sim.Rng.t;
   rto : Tcp.Rto.t;
   (* window state *)
-  mutable cwnd : float;
-  mutable ssthresh : float;
+  w : window;
   awnd : Stats.Ewma.t;
   mutable last_window_cut : float;
   mutable next_seq : int;
@@ -41,7 +50,7 @@ type t = {
   pending : (int, unit) Hashtbl.t;  (* lost somewhere, decision not made *)
   mutable rexmit_queue : (int * rexmit_target) list;
   queued : (int, unit) Hashtbl.t;
-  mutable timer : Sim.Scheduler.event_id option;
+  mutable timer : Sim.Scheduler.event_id;  (* [no_timer] when unarmed *)
   mutable timeout_thunk : unit -> unit;
       (* one closure shared by every (re)arm, not one per arm *)
   mutable start_event : Sim.Scheduler.event_id option;
@@ -83,7 +92,7 @@ let group t = t.group
 
 let n_receivers t = Array.length t.rcvrs
 
-let cwnd t = t.cwnd
+let cwnd t = t.w.cwnd
 
 let awnd t = Stats.Ewma.value t.awnd
 
@@ -106,6 +115,18 @@ let rexmits_unicast t = t.rexmits_unicast
 let receiver_endpoints t = t.endpoints
 
 let now t = Net.Network.now t.net
+
+(* Slot of the active receiver at [addr], or -1.  A loop rather than
+   [Array.find_opt]: ack dispatch calls this on every ack, and the
+   closure and the [Some] would both allocate. *)
+let active_index t addr =
+  let rec go i =
+    if i >= Array.length t.rcvrs then -1
+    else
+      let r = Array.unsafe_get t.rcvrs i in
+      if Rcv_state.active r && Rcv_state.addr r = addr then i else go (i + 1)
+  in
+  go 0
 
 let fold_active t f init =
   Array.fold_left
@@ -186,9 +207,16 @@ let signals_per_receiver t =
   Array.to_list
     (Array.map (fun r -> (Rcv_state.addr r, Rcv_state.signals r)) t.rcvrs)
 
+(* [Stdlib.max 1.0 value] without the polymorphic call, which boxes
+   both floats. *)
 let set_cwnd t value =
-  t.cwnd <- Stdlib.max 1.0 value;
-  Stats.Time_avg.update t.cwnd_avg ~time:(now t) ~value:t.cwnd
+  let cwnd = if 1.0 >= value then 1.0 else value in
+  t.w.cwnd <- cwnd;
+  Stats.Time_avg.update t.cwnd_avg ~time:(now t) ~value:cwnd
+
+let half_window t =
+  let h = t.w.cwnd /. 2.0 in
+  if 2.0 >= h then 2.0 else h
 
 (* Aligned (cwnd, bytes_acked-by-all) probe — both series get a sample
    at every call point, so their decimated sample times stay identical
@@ -198,7 +226,7 @@ let probe_flow t =
   | None -> ()
   | Some taps ->
       let time = now t in
-      Obs.Series.add taps.cwnd_s ~time t.cwnd;
+      Obs.Series.add taps.cwnd_s ~time t.w.cwnd;
       Obs.Series.add taps.bytes_s ~time
         (float_of_int (t.mra * t.params.Params.data_size))
 
@@ -209,7 +237,7 @@ let probe_cut t ~forced =
       Obs.Registry.incr taps.cuts_c;
       Obs.Registry.emit taps.reg ~time:(now t) ~source:taps.source
         ~event:(if forced then "forced_cut" else "window_cut")
-        ~value:t.cwnd
+        ~value:t.w.cwnd
 
 (* --- troubled receivers and the cut probability ------------------- *)
 
@@ -256,11 +284,10 @@ let pthresh_for t addr =
 (* --- transmission -------------------------------------------------- *)
 
 let cancel_timer t =
-  match t.timer with
-  | None -> ()
-  | Some id ->
-      Sim.Scheduler.cancel (Net.Network.scheduler t.net) id;
-      t.timer <- None
+  if t.timer <> no_timer then begin
+    Sim.Scheduler.cancel (Net.Network.scheduler t.net) t.timer;
+    t.timer <- no_timer
+  end
 
 let send_packet t ~seq ~dst ~rexmit =
   let pkt =
@@ -286,9 +313,7 @@ let send_rexmit t seq target =
     | To_receivers addrs ->
         List.filter_map
           (fun a ->
-            Array.find_opt
-              (fun r -> Rcv_state.active r && Rcv_state.addr r = a)
-              t.rcvrs)
+            match active_index t a with -1 -> None | i -> Some t.rcvrs.(i))
           addrs
   in
   (* Mark the retransmission only on boards that still consider the
@@ -322,15 +347,36 @@ let send_rexmit t seq target =
             ~rexmit:true)
         requesters
 
+let window_room t =
+  max_pipe t < int_of_float t.w.cwnd
+  && t.next_seq - min_last_ack t < t.params.Params.rcv_buffer
+
+(* Register a new packet on every scoreboard (inactive boards too, so
+   a re-join keeps sequence numbers aligned), keeping the pipe cache in
+   sync for the active ones.  A loop: an [Array.iter] closure would be
+   allocated for every packet sent. *)
+let register_everywhere t seq =
+  for i = 0 to Array.length t.rcvrs - 1 do
+    let r = t.rcvrs.(i) in
+    let board = Rcv_state.board r in
+    if Rcv_state.active r then begin
+      let p0 = Tcp.Scoreboard.pipe board in
+      let s = Tcp.Scoreboard.register_send board in
+      assert (s = seq);
+      note_pipe_change t ~before:p0 ~after:(Tcp.Scoreboard.pipe board)
+    end
+    else begin
+      let s = Tcp.Scoreboard.register_send board in
+      assert (s = seq)
+    end
+  done
+
 let rec arm_timer t =
-  if t.timer = None && t.next_seq > t.mra then begin
-    let id =
+  if t.timer = no_timer && t.next_seq > t.mra then
+    t.timer <-
       Sim.Scheduler.schedule_after
         (Net.Network.scheduler t.net)
         (Tcp.Rto.timeout t.rto) t.timeout_thunk
-    in
-    t.timer <- Some id
-  end
 
 and restart_timer t =
   cancel_timer t;
@@ -338,11 +384,7 @@ and restart_timer t =
 
 and try_send t =
   let budget = ref t.params.Params.max_burst in
-  let window_room () =
-    max_pipe t < int_of_float t.cwnd
-    && t.next_seq - min_last_ack t < t.params.Params.rcv_buffer
-  in
-  while !budget > 0 && window_room () do
+  while !budget > 0 && window_room t do
     match t.rexmit_queue with
     | (seq, target) :: rest ->
         t.rexmit_queue <- rest;
@@ -351,20 +393,7 @@ and try_send t =
     | [] ->
         let seq = t.next_seq in
         t.next_seq <- seq + 1;
-        Array.iter
-          (fun r ->
-            let board = Rcv_state.board r in
-            if Rcv_state.active r then begin
-              let p0 = Tcp.Scoreboard.pipe board in
-              let s = Tcp.Scoreboard.register_send board in
-              assert (s = seq);
-              note_pipe_change t ~before:p0 ~after:(Tcp.Scoreboard.pipe board)
-            end
-            else begin
-              let s = Tcp.Scoreboard.register_send board in
-              assert (s = seq)
-            end)
-          t.rcvrs;
+        register_everywhere t seq;
         Hashtbl.replace t.coverage seq
           { covered = 0; rexmitted = false; sent_at = now t };
         t.sent_new <- t.sent_new + 1;
@@ -377,7 +406,7 @@ and on_timeout t =
   if t.next_seq > t.mra then begin
     t.timeouts <- t.timeouts + 1;
     t.window_cuts <- t.window_cuts + 1;
-    t.ssthresh <- Stdlib.max 2.0 (t.cwnd /. 2.0);
+    t.w.ssthresh <- half_window t;
     set_cwnd t 1.0;
     probe_cut t ~forced:false;
     probe_flow t;
@@ -437,33 +466,63 @@ and schedule_rexmit_decision t seq =
 
 (* --- acknowledgment processing ------------------------------------- *)
 
+(* The coverage lookups below use [find] and [Not_found] rather than
+   [find_opt]: they run several times per ack, and each [Some] would
+   allocate. *)
 let advance_frontier t =
   let n = t.n_active in
   let progressed = ref false in
   let continue = ref true in
   while !continue do
-    match Hashtbl.find_opt t.coverage t.mra with
-    | Some c when c.covered >= n ->
+    match Hashtbl.find t.coverage t.mra with
+    | c when c.covered >= n ->
         if not c.rexmitted then
           Stats.Welford.add !(t.rtt) (now t -. c.sent_at);
         Hashtbl.remove t.coverage t.mra;
         t.mra <- t.mra + 1;
         progressed := true
-    | Some _ | None -> continue := false
+    | _ | (exception Not_found) -> continue := false
   done;
   if !progressed then restart_timer t
 
 (* A packet newly covered by one receiver; on full coverage the window
    opens (rule 4: cwnd <- cwnd + 1/cwnd once ACKed by all). *)
 let cover t seq =
-  match Hashtbl.find_opt t.coverage seq with
-  | None -> ()
-  | Some c ->
+  match Hashtbl.find t.coverage seq with
+  | exception Not_found -> ()
+  | c ->
       c.covered <- c.covered + 1;
       if c.covered >= t.n_active then begin
-        if t.cwnd < t.ssthresh then set_cwnd t (t.cwnd +. 1.0)
-        else set_cwnd t (t.cwnd +. (1.0 /. t.cwnd))
+        let w = t.w in
+        if w.cwnd < w.ssthresh then set_cwnd t (w.cwnd +. 1.0)
+        else set_cwnd t (w.cwnd +. (1.0 /. w.cwnd))
       end
+
+(* Cover what a cumulative ack newly acknowledges: the packets in
+   [high_ack, cum_ack) not SACKed before, ascending (the SACKed ones
+   were covered when their block arrived).  Reads the board before
+   {!Tcp.Scoreboard.advance_cum} clears those slots. *)
+let cover_cum t board cum_ack =
+  let hi = Int.min cum_ack (Tcp.Scoreboard.next_seq board) in
+  for seq = Tcp.Scoreboard.high_ack board to hi - 1 do
+    if not (Tcp.Scoreboard.is_sacked board seq) then cover t seq
+  done;
+  ignore (Tcp.Scoreboard.advance_cum board cum_ack : int)
+
+(* SACK each block and cover what it newly SACKs, in block order. *)
+let rec cover_blocks t board = function
+  | [] -> ()
+  | { Tcp.Wire.block_lo; block_hi } :: rest ->
+      for seq = block_lo to block_hi - 1 do
+        if Tcp.Scoreboard.sack board seq then cover t seq
+      done;
+      cover_blocks t board rest
+
+let rec decide_each t = function
+  | [] -> ()
+  | seq :: rest ->
+      schedule_rexmit_decision t seq;
+      decide_each t rest
 
 let congestion_action t r =
   recount_troubled t;
@@ -488,8 +547,8 @@ let congestion_action t r =
     let do_cut ~forced =
       t.window_cuts <- t.window_cuts + 1;
       if forced then t.forced_cuts <- t.forced_cuts + 1;
-      t.ssthresh <- Stdlib.max 2.0 (t.cwnd /. 2.0);
-      set_cwnd t t.ssthresh;
+      t.w.ssthresh <- half_window t;
+      set_cwnd t t.w.ssthresh;
       probe_cut t ~forced;
       t.last_window_cut <- now t
     in
@@ -506,27 +565,23 @@ let on_ack t r ~cum_ack ~blocks ~echo ~ece =
   let board = Rcv_state.board r in
   let high_ack0 = Tcp.Scoreboard.high_ack board in
   let pipe0 = Tcp.Scoreboard.pipe board in
-  let fresh_cum = Tcp.Scoreboard.advance_cum_seqs board cum_ack in
-  let fresh_sacked =
-    List.concat_map
-      (fun { Tcp.Wire.block_lo; block_hi } ->
-        Tcp.Scoreboard.mark_sacked_seqs board ~lo:block_lo ~hi:block_hi)
-      blocks
-  in
-  List.iter (cover t) fresh_cum;
-  List.iter (cover t) fresh_sacked;
+  (* Coverage never reads the boards and the boards never read
+     coverage, so covering while walking the board visits the packets
+     in the same order as collecting them first would. *)
+  cover_cum t board cum_ack;
+  cover_blocks t board blocks;
   advance_frontier t;
   (* Update the moving average of the window on every ack. *)
-  Stats.Ewma.update t.awnd t.cwnd;
+  Stats.Ewma.update t.awnd t.w.cwnd;
+  (* Built only when there are losses: no allocation on a clean ack. *)
   let losses = Tcp.Scoreboard.detect_losses board ~dupthresh:t.params.Params.dupthresh in
-  List.iter (fun seq -> schedule_rexmit_decision t seq) losses;
+  decide_each t losses;
   (* Re-request retransmissions that have themselves gone unanswered
      for ~2 srtt on this branch. *)
   let srtt_i = Rcv_state.srtt r in
   if srtt_i > 0.0 && t.params.Params.rexmit_timeout_factor < infinity then begin
     let before = now t -. (t.params.Params.rexmit_timeout_factor *. srtt_i) in
-    let revived = Tcp.Scoreboard.expire_rexmits board ~before in
-    List.iter (fun seq -> schedule_rexmit_decision t seq) revived
+    decide_each t (Tcp.Scoreboard.expire_rexmits board ~before)
   end;
   (* Fresh coverage may complete the report set of pending packets. *)
   if Hashtbl.length t.pending > 0 then begin
@@ -559,13 +614,10 @@ let on_ack t r ~cum_ack ~blocks ~echo ~ece =
    from the remaining active scoreboards so the acked-by-all frontier
    can move past the dropped receiver's holes. *)
 let drop_receiver t addr =
-  match
-    Array.find_opt
-      (fun r -> Rcv_state.active r && Rcv_state.addr r = addr)
-      t.rcvrs
-  with
-  | None -> false
-  | Some victim ->
+  match active_index t addr with
+  | -1 -> false
+  | i ->
+      let victim = t.rcvrs.(i) in
       if t.n_active <= 1 then
         invalid_arg "Sender.drop_receiver: cannot drop the last receiver";
       Rcv_state.deactivate victim;
@@ -614,13 +666,8 @@ let drop_receiver t addr =
    dropped earlier reuses its slot with fresh state (fresh scoreboard,
    srtt, signal history). *)
 let add_receiver t addr =
-  match
-    Array.find_opt
-      (fun r -> Rcv_state.active r && Rcv_state.addr r = addr)
-      t.rcvrs
-  with
-  | Some _ -> false
-  | None ->
+  if active_index t addr >= 0 then false
+  else begin
       if addr = t.src then
         invalid_arg "Sender.add_receiver: source cannot join its own group";
       (match Net.Network.node t.net addr with
@@ -655,6 +702,7 @@ let add_receiver t addr =
       recompute_pipes t;
       try_send t;
       true
+  end
 
 let active_receivers t =
   fold_active t (fun acc r -> Rcv_state.addr r :: acc) [] |> List.rev
@@ -679,7 +727,7 @@ type snapshot = {
 }
 
 let reset_measurement (t : t) =
-  Stats.Time_avg.reset t.cwnd_avg ~start:(now t) ~value:t.cwnd;
+  Stats.Time_avg.reset t.cwnd_avg ~start:(now t) ~value:t.w.cwnd;
   t.rtt := Stats.Welford.create ();
   t.rtt_acks := Stats.Welford.create ();
   t.meas_sent_new <- t.sent_new;
@@ -705,7 +753,7 @@ let snapshot t =
     delivered;
     throughput = rate delivered;
     send_rate = rate sent;
-    cwnd_now = t.cwnd;
+    cwnd_now = t.w.cwnd;
     cwnd_avg = Stats.Time_avg.average t.cwnd_avg ~upto:(now t);
     rtt_avg = Stats.Welford.mean !(t.rtt_acks);
     rtt_all_avg = Stats.Welford.mean !(t.rtt);
@@ -759,8 +807,11 @@ let create ~net ~src ~receivers ?(params = Params.default) ?(start_at = 0.0)
       endpoints;
       rng = Net.Network.fork_rng net;
       rto = Tcp.Rto.create ~min_rto:params.Params.min_rto ();
-      cwnd = Stdlib.max 1.0 params.Params.init_cwnd;
-      ssthresh = params.Params.init_ssthresh;
+      w =
+        {
+          cwnd = Stdlib.max 1.0 params.Params.init_cwnd;
+          ssthresh = params.Params.init_ssthresh;
+        };
       awnd = Stats.Ewma.create ~weight:params.Params.awnd_weight;
       last_window_cut = start;
       next_seq = 0;
@@ -769,7 +820,7 @@ let create ~net ~src ~receivers ?(params = Params.default) ?(start_at = 0.0)
       pending = Hashtbl.create 64;
       rexmit_queue = [];
       queued = Hashtbl.create 64;
-      timer = None;
+      timer = no_timer;
       timeout_thunk = ignore;
       start_event = None;
       num_trouble = 1;
@@ -804,7 +855,7 @@ let create ~net ~src ~receivers ?(params = Params.default) ?(start_at = 0.0)
   recompute_pipes t;
   t.timeout_thunk <-
     (fun () ->
-      t.timer <- None;
+      t.timer <- no_timer;
       on_timeout t);
   (match Net.Network.observer net with
   | None -> ()
@@ -821,20 +872,16 @@ let create ~net ~src ~receivers ?(params = Params.default) ?(start_at = 0.0)
             signals_c = Obs.Registry.counter reg (source ^ ".signals");
           };
       probe_flow t);
-  Stats.Ewma.update t.awnd t.cwnd;
+  Stats.Ewma.update t.awnd t.w.cwnd;
   Net.Node.attach (Net.Network.node net src) ~flow (fun pkt ->
       match pkt.Net.Packet.payload with
       | Wire.Rla_ack { rcvr; cum_ack; blocks; echo; ece } -> (
           (* Dispatch to the *active* state for that address: after a
              drop + re-join the array holds the stale entry too, and
              acks must reach the live one. *)
-          match
-            Array.find_opt
-              (fun r -> Rcv_state.active r && Rcv_state.addr r = rcvr)
-              t.rcvrs
-          with
-          | Some r -> on_ack t r ~cum_ack ~blocks ~echo ~ece
-          | None -> ())
+          match active_index t rcvr with
+          | -1 -> ()
+          | i -> on_ack t t.rcvrs.(i) ~cum_ack ~blocks ~echo ~ece)
       | _ -> ());
   let stagger = Sim.Rng.float t.rng 0.1 in
   t.start_event <-
@@ -901,8 +948,8 @@ let capture t =
     s_endpoints = List.map Receiver.capture t.endpoints;
     s_rng = Sim.Rng.state t.rng;
     s_rto = Tcp.Rto.capture t.rto;
-    s_cwnd = t.cwnd;
-    s_ssthresh = t.ssthresh;
+    s_cwnd = t.w.cwnd;
+    s_ssthresh = t.w.ssthresh;
     s_awnd = Stats.Ewma.capture t.awnd;
     s_last_window_cut = t.last_window_cut;
     s_next_seq = t.next_seq;
@@ -926,7 +973,7 @@ let capture t =
     s_queued =
       Hashtbl.fold (fun seq () acc -> seq :: acc) t.queued []
       |> List.sort Int.compare;
-    s_timer = t.timer;
+    s_timer = (if t.timer = no_timer then None else Some t.timer);
     s_start_event = t.start_event;
     s_num_trouble = t.num_trouble;
     s_window_cuts = t.window_cuts;
@@ -965,8 +1012,8 @@ let restore t st =
   List.iter2 Receiver.restore t.endpoints st.s_endpoints;
   Sim.Rng.set_state t.rng st.s_rng;
   Tcp.Rto.restore t.rto st.s_rto;
-  t.cwnd <- st.s_cwnd;
-  t.ssthresh <- st.s_ssthresh;
+  t.w.cwnd <- st.s_cwnd;
+  t.w.ssthresh <- st.s_ssthresh;
   Stats.Ewma.restore t.awnd st.s_awnd;
   t.last_window_cut <- st.s_last_window_cut;
   t.next_seq <- st.s_next_seq;
@@ -982,7 +1029,7 @@ let restore t st =
   t.rexmit_queue <- st.s_rexmit_queue;
   Hashtbl.reset t.queued;
   List.iter (fun seq -> Hashtbl.replace t.queued seq ()) st.s_queued;
-  t.timer <- st.s_timer;
+  t.timer <- Option.value st.s_timer ~default:no_timer;
   t.start_event <- st.s_start_event;
   let sched = Net.Network.scheduler t.net in
   (match st.s_timer with

@@ -6,7 +6,11 @@
    allocate, and this pass fails the build when a later edit introduces
    an allocation construct — closures, tuples, records, payload-carrying
    constructors, [ref] cells, [Printf]/[Format]/[List] combinators,
-   string building, float-typed lets (boxing).
+   string building, float-typed lets (boxing), and the polymorphic
+   [Stdlib.max]/[min]/[compare]: they call the generic comparison, so
+   float arguments are boxed for the call (an explicit [if] is
+   allocation-free and, unlike [Float.max], keeps their NaN and -0
+   behaviour).
 
    Two subtrees are deliberately exempt because they are off the fast
    path by construction: conditionals guarded by [Invariant.enabled]
@@ -121,6 +125,12 @@ let alloc_head = function
       Some ("call into " ^ j ^ " (closure + list cells)")
   | _ -> None
 
+let polymorphic_compare = function
+  | "Stdlib.max" | "Stdlib.min" | "Stdlib.compare" | "max" | "min" | "compare"
+    ->
+      true
+  | _ -> false
+
 let scan_body ~file ~target ~reason body =
   let findings = ref [] in
   let flag line what =
@@ -172,6 +182,11 @@ let scan_body ~file ~target ~reason body =
               | Some what -> flag (line_of e.pexp_loc) what
               | None -> ());
               Ast_iterator.default_iterator.expr it e)
+          | Pexp_ident { txt; _ } when polymorphic_compare (joined txt) ->
+              flag (line_of e.pexp_loc)
+                (Printf.sprintf
+                   "polymorphic %s (boxes float arguments; use an explicit if)"
+                   (joined txt))
           | Pexp_let (_, vbs, _) ->
               List.iter
                 (fun vb ->

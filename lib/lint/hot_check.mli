@@ -1,7 +1,9 @@
 (** The alloc-hot contract: functions declared
     [(* lint: hot <name> -- <reason> *)] are scanned for allocation
-    constructs, and [hot-coverage] verifies each annotation names a
-    binding the file defines and its interface exports.
+    constructs and for the polymorphic [Stdlib.max]/[min]/[compare]
+    (which box float arguments), and [hot-coverage] verifies each
+    annotation names a binding the file defines and its interface
+    exports.
 
     Exempt subtrees: conditionals guarded by [Invariant.enabled] and
     error exits ([invalid_arg]/[failwith]/[raise]/[assert]).  Partial

@@ -24,7 +24,19 @@ type stats = {
    next tx completion always concerns [in_service] and the next
    delivery always concerns the front of the [wire] ring.  One
    [tx_thunk] and one [deliver_thunk] per link replace a closure (and a
-   ref cell) per packet. *)
+   ref cell) per packet.
+
+   The per-packet path allocates nothing: "nothing in service" and "no
+   tx event" are sentinels (the pool's dummy packet, id -1) rather than
+   options, and the link's float state sits in [times], a record of
+   floats only, which OCaml stores flat — a mutable float field of the
+   mixed record [t] would box a fresh float on every write. *)
+type times = {
+  mutable down_since : float;
+  mutable downtime_acc : float;
+  mutable last_delivery : float;
+}
+
 type t = {
   id : string;
   sched : Sim.Scheduler.t;
@@ -42,12 +54,10 @@ type t = {
   mutable tx_thunk : unit -> unit;
   mutable deliver_thunk : unit -> unit;
   mutable busy : bool;
-  mutable in_service : Packet.t option;
-  mutable tx_event : Sim.Scheduler.event_id option;
+  mutable in_service : Packet.t;  (* [no_packet] when idle *)
+  mutable tx_event : Sim.Scheduler.event_id;  (* [no_event] when idle *)
   mutable up : bool;
-  mutable down_since : float;
-  mutable downtime_acc : float;
-  mutable last_delivery : float;
+  times : times;
   mutable offered : int;
   mutable dropped : int;
   mutable delivered : int;
@@ -65,6 +75,10 @@ and taps = {
   marks_c : Obs.Registry.counter;
   delivered_c : Obs.Registry.counter;
 }
+
+let no_packet = Packet.Pool.dummy_pkt
+
+let no_event = -1
 
 let id t = t.id
 
@@ -99,8 +113,8 @@ let set_drop_hook t hook = t.drop_hook <- Some hook
 let avg_queue t = Queue_disc.avg_queue t.disc
 
 let downtime t =
-  t.downtime_acc
-  +. if t.up then 0.0 else Sim.Scheduler.now t.sched -. t.down_since
+  t.times.downtime_acc
+  +. if t.up then 0.0 else Sim.Scheduler.now t.sched -. t.times.down_since
 
 let count_drop t pkt =
   t.dropped <- t.dropped + 1;
@@ -125,12 +139,22 @@ let count_drop t pkt =
    runtime reconfiguration: shrinking [prop_delay] or growing
    [bandwidth_bps] mid-run cannot schedule a delivery before one
    already on the wire. *)
+let[@inline never] empty_wire t =
+  invalid_arg (Printf.sprintf "Link %s: delivery fired with an empty wire" t.id)
+
 let deliver_front t =
-  match (Ring.pop t.wire_ids, Ring.pop t.wire_pkts) with
-  | Some _, Some pkt -> t.deliver pkt
-  | _ ->
-      invalid_arg
-        (Printf.sprintf "Link %s: delivery fired with an empty wire" t.id)
+  if Ring.is_empty t.wire_pkts then empty_wire t;
+  ignore (Ring.take t.wire_ids : int);
+  t.deliver (Ring.take t.wire_pkts)
+
+let[@inline never] check_fifo t ~at =
+  let now = Sim.Scheduler.now t.sched in
+  Sim.Invariant.require
+    (at >= t.times.last_delivery && at >= now)
+    (fun () ->
+      Printf.sprintf
+        "Link %s: delivery at %g would overtake last delivery %g (now %g)" t.id
+        at t.times.last_delivery now)
 
 let propagate t pkt =
   let jitter =
@@ -138,50 +162,46 @@ let propagate t pkt =
       Sim.Rng.float t.rng (service_time t pkt.Packet.size)
     else 0.0
   in
-  let at =
-    Stdlib.max
-      (Sim.Scheduler.now t.sched +. t.config.prop_delay +. jitter)
-      t.last_delivery
-  in
-  if !Sim.Invariant.enabled then
-    Sim.Invariant.require
-      (at >= t.last_delivery && at >= Sim.Scheduler.now t.sched)
-      (fun () ->
-        Printf.sprintf
-          "Link %s: delivery at %g would overtake last delivery %g (now %g)"
-          t.id at t.last_delivery
-          (Sim.Scheduler.now t.sched));
-  t.last_delivery <- at;
+  (* [if] rather than [Stdlib.max]: the polymorphic max boxes both
+     floats, and [Float.max] differs on NaN and -0. *)
+  let earliest = Sim.Scheduler.now t.sched +. t.config.prop_delay +. jitter in
+  let last = t.times.last_delivery in
+  let at = if earliest >= last then earliest else last in
+  if !Sim.Invariant.enabled then check_fifo t ~at;
+  t.times.last_delivery <- at;
   let eid = Sim.Scheduler.schedule_at t.sched at t.deliver_thunk in
   Ring.push t.wire_ids eid;
   Ring.push t.wire_pkts pkt
 
+let[@inline never] nothing_in_service t =
+  invalid_arg
+    (Printf.sprintf "Link %s: tx completion with nothing in service" t.id)
+
 let rec complete_tx t =
-  match t.in_service with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Link %s: tx completion with nothing in service" t.id)
-  | Some pkt ->
-      t.tx_event <- None;
-      t.in_service <- None;
-      t.delivered <- t.delivered + 1;
-      t.bytes_delivered <- t.bytes_delivered + pkt.Packet.size;
-      (match t.taps with
-      | None -> ()
-      | Some taps -> Obs.Registry.incr taps.delivered_c);
-      propagate t pkt;
-      start_transmission t
+  let pkt = t.in_service in
+  if pkt == no_packet then nothing_in_service t;
+  t.tx_event <- no_event;
+  t.in_service <- no_packet;
+  t.delivered <- t.delivered + 1;
+  t.bytes_delivered <- t.bytes_delivered + pkt.Packet.size;
+  (match t.taps with
+  | None -> ()
+  | Some taps -> Obs.Registry.incr taps.delivered_c);
+  propagate t pkt;
+  start_transmission t
 
 and start_transmission t =
-  match Ring.pop t.buffer with
-  | None ->
-      t.busy <- false;
-      Queue_disc.on_empty t.disc ~now:(Sim.Scheduler.now t.sched)
-  | Some pkt ->
-      t.busy <- true;
-      t.in_service <- Some pkt;
-      let tx = service_time t pkt.Packet.size in
-      t.tx_event <- Some (Sim.Scheduler.schedule_after t.sched tx t.tx_thunk)
+  if Ring.is_empty t.buffer then begin
+    t.busy <- false;
+    Queue_disc.on_empty t.disc ~now:(Sim.Scheduler.now t.sched)
+  end
+  else begin
+    let pkt = Ring.take t.buffer in
+    t.busy <- true;
+    t.in_service <- pkt;
+    let tx = service_time t pkt.Packet.size in
+    t.tx_event <- Sim.Scheduler.schedule_after t.sched tx t.tx_thunk
+  end
 
 let create ~sched ~rng ~pool ~id config ~deliver =
   if config.bandwidth_bps <= 0.0 then
@@ -203,12 +223,10 @@ let create ~sched ~rng ~pool ~id config ~deliver =
       tx_thunk = ignore;
       deliver_thunk = ignore;
       busy = false;
-      in_service = None;
-      tx_event = None;
+      in_service = no_packet;
+      tx_event = no_event;
       up = true;
-      down_since = 0.0;
-      downtime_acc = 0.0;
-      last_delivery = 0.0;
+      times = { down_since = 0.0; downtime_acc = 0.0; last_delivery = 0.0 };
       offered = 0;
       dropped = 0;
       delivered = 0;
@@ -238,18 +256,20 @@ let set_registry t reg =
       reg;
   Queue_disc.set_registry t.disc reg ~id:t.id
 
-let check_occupancy t =
-  if !Sim.Invariant.enabled then
-    Sim.Invariant.require
-      (Ring.length t.buffer <= Queue_disc.capacity t.disc)
-      (fun () ->
-        Printf.sprintf "Link %s: occupancy %d exceeds capacity %d" t.id
-          (Ring.length t.buffer)
-          (Queue_disc.capacity t.disc))
+let[@inline never] require_occupancy t =
+  Sim.Invariant.require
+    (Ring.length t.buffer <= Queue_disc.capacity t.disc)
+    (fun () ->
+      Printf.sprintf "Link %s: occupancy %d exceeds capacity %d" t.id
+        (Ring.length t.buffer)
+        (Queue_disc.capacity t.disc))
+
+let check_occupancy t = if !Sim.Invariant.enabled then require_occupancy t
 
 (* lint: hot send -- per-packet enqueue on every hop; event closures
-   are shared per link (see the type comment) so this allocates nothing
-   on the admit path *)
+   are shared per link and idle state uses sentinels (see the type
+   comment), so the admit and drop paths allocate nothing without a
+   registry *)
 let send t pkt =
   t.offered <- t.offered + 1;
   if not t.up then
@@ -328,39 +348,33 @@ let set_delay t delay =
 let set_down t =
   if t.up then begin
     t.up <- false;
-    t.down_since <- Sim.Scheduler.now t.sched;
+    t.times.down_since <- Sim.Scheduler.now t.sched;
     (* The packet being serialized is aborted and lost; packets already
        past serialization (propagating) are on the wire and still
        arrive. *)
-    (match t.tx_event with
-    | None -> ()
-    | Some ev ->
-        Sim.Scheduler.cancel t.sched ev;
-        t.tx_event <- None);
+    if t.tx_event <> no_event then begin
+      Sim.Scheduler.cancel t.sched t.tx_event;
+      t.tx_event <- no_event
+    end;
     let was_busy = t.busy in
-    (match t.in_service with
-    | None -> ()
-    | Some pkt ->
-        t.in_service <- None;
-        count_drop t pkt);
+    let pkt = t.in_service in
+    if pkt != no_packet then begin
+      t.in_service <- no_packet;
+      count_drop t pkt
+    end;
     t.busy <- false;
     (* Everything queued behind it is flushed into the drop count. *)
-    let rec flush () =
-      match Ring.pop t.buffer with
-      | None -> ()
-      | Some pkt ->
-          count_drop t pkt;
-          flush ()
-    in
-    flush ();
+    while not (Ring.is_empty t.buffer) do
+      count_drop t (Ring.take t.buffer)
+    done;
     if was_busy then Queue_disc.on_empty t.disc ~now:(Sim.Scheduler.now t.sched)
   end
 
 let set_up t =
   if not t.up then begin
     t.up <- true;
-    t.downtime_acc <-
-      t.downtime_acc +. (Sim.Scheduler.now t.sched -. t.down_since)
+    t.times.downtime_acc <-
+      t.times.downtime_acc +. (Sim.Scheduler.now t.sched -. t.times.down_since)
   end
 
 (* --- checkpoint/restore -------------------------------------------- *)
@@ -405,13 +419,15 @@ let capture t =
     s_prop_delay = t.config.prop_delay;
     s_buffer = List.map snapshot_pkt (Ring.capture t.buffer);
     s_busy = t.busy;
-    s_in_service = Option.map snapshot_pkt t.in_service;
-    s_tx_event = t.tx_event;
+    s_in_service =
+      (if t.in_service == no_packet then None
+       else Some (snapshot_pkt t.in_service));
+    s_tx_event = (if t.tx_event = no_event then None else Some t.tx_event);
     s_inflight = wire;
     s_up = t.up;
-    s_down_since = t.down_since;
-    s_downtime_acc = t.downtime_acc;
-    s_last_delivery = t.last_delivery;
+    s_down_since = t.times.down_since;
+    s_downtime_acc = t.times.downtime_acc;
+    s_last_delivery = t.times.last_delivery;
     s_offered = t.offered;
     s_dropped = t.dropped;
     s_delivered = t.delivered;
@@ -435,9 +451,10 @@ let restore t st =
     };
   Ring.restore t.buffer (List.map snapshot_pkt st.s_buffer);
   t.busy <- st.s_busy;
-  t.in_service <- Option.map snapshot_pkt st.s_in_service;
-  t.tx_event <- st.s_tx_event;
-  (match (st.s_tx_event, t.in_service) with
+  t.in_service <-
+    (match st.s_in_service with None -> no_packet | Some p -> snapshot_pkt p);
+  t.tx_event <- Option.value st.s_tx_event ~default:no_event;
+  (match (st.s_tx_event, st.s_in_service) with
   | Some id, Some _ -> Sim.Scheduler.rearm t.sched ~id t.tx_thunk
   | Some id, None ->
       invalid_arg
@@ -450,9 +467,9 @@ let restore t st =
     (fun (id, _) -> Sim.Scheduler.rearm t.sched ~id t.deliver_thunk)
     st.s_inflight;
   t.up <- st.s_up;
-  t.down_since <- st.s_down_since;
-  t.downtime_acc <- st.s_downtime_acc;
-  t.last_delivery <- st.s_last_delivery;
+  t.times.down_since <- st.s_down_since;
+  t.times.downtime_acc <- st.s_downtime_acc;
+  t.times.last_delivery <- st.s_last_delivery;
   t.offered <- st.s_offered;
   t.dropped <- st.s_dropped;
   t.delivered <- st.s_delivered;

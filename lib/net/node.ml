@@ -1,10 +1,19 @@
+(* Every table is keyed by an int (address, group, flow) and looked up
+   on every hop, so they use an int-specialised [Hashtbl.Make] probed
+   with [find]/[Not_found]: no polymorphic hash or equality call, and
+   no [Some] cell per lookup.  Per-node tables rather than dense arrays
+   indexed by address: a node routes to every address, so arrays would
+   cost O(n^2) memory on the 10^4-10^5-node sharded trees.  No table is
+   ever iterated, so the hash function cannot affect any output. *)
+module Itbl = Hashtbl.Make (Int)
+
 type t = {
   id : Packet.addr;
   pool : Packet.Pool.t;
-  routes : (Packet.addr, Link.t) Hashtbl.t;
-  mcast : (Packet.group, Link.t list ref) Hashtbl.t;
-  groups : (Packet.group, unit) Hashtbl.t;
-  handlers : (Packet.flow, Packet.t -> unit) Hashtbl.t;
+  routes : Link.t Itbl.t;
+  mcast : Link.t list Itbl.t;
+  groups : unit Itbl.t;
+  handlers : (Packet.t -> unit) Itbl.t;
   mutable undeliverable : int;
 }
 
@@ -12,70 +21,84 @@ let create ~pool id =
   {
     id;
     pool;
-    routes = Hashtbl.create 16;
-    mcast = Hashtbl.create 4;
-    groups = Hashtbl.create 4;
-    handlers = Hashtbl.create 8;
+    routes = Itbl.create 16;
+    mcast = Itbl.create 4;
+    groups = Itbl.create 4;
+    handlers = Itbl.create 8;
     undeliverable = 0;
   }
 
 let id t = t.id
 
-let set_route t ~dest link = Hashtbl.replace t.routes dest link
+let set_route t ~dest link = Itbl.replace t.routes dest link
 
-let route t ~dest = Hashtbl.find_opt t.routes dest
-
-let add_mcast_route t ~group link =
-  match Hashtbl.find_opt t.mcast group with
-  | None -> Hashtbl.replace t.mcast group (ref [ link ])
-  | Some links ->
-      if not (List.exists (fun l -> Link.id l = Link.id link) !links) then
-        links := !links @ [ link ]
+let route t ~dest = Itbl.find_opt t.routes dest
 
 let mcast_routes t ~group =
-  match Hashtbl.find_opt t.mcast group with None -> [] | Some l -> !l
+  match Itbl.find t.mcast group with links -> links | exception Not_found -> []
 
-let join t ~group = Hashtbl.replace t.groups group ()
+let add_mcast_route t ~group link =
+  let links = mcast_routes t ~group in
+  if not (List.exists (fun l -> Link.id l = Link.id link) links) then
+    Itbl.replace t.mcast group (links @ [ link ])
 
-let joined t ~group = Hashtbl.mem t.groups group
+let join t ~group = Itbl.replace t.groups group ()
 
-let attach t ~flow handler = Hashtbl.replace t.handlers flow handler
+let joined t ~group = Itbl.mem t.groups group
 
-let detach t ~flow = Hashtbl.remove t.handlers flow
+let attach t ~flow handler = Itbl.replace t.handlers flow handler
+
+let detach t ~flow = Itbl.remove t.handlers flow
 
 (* Handlers may read the packet for the duration of the call only; the
    caller still owns the reference and releases (or forwards) it after
    the handler returns. *)
 let deliver_local t pkt =
-  match Hashtbl.find_opt t.handlers pkt.Packet.flow with
-  | Some handler -> handler pkt
-  | None -> t.undeliverable <- t.undeliverable + 1
+  match Itbl.find t.handlers pkt.Packet.flow with
+  | handler -> handler pkt
+  | exception Not_found -> t.undeliverable <- t.undeliverable + 1
+
+(* Multicast fan-out helpers: recursion over the branch list instead of
+   [List.iter] closures, which would capture [pkt] on every hop. *)
+let rec retain_each pkt = function
+  | [] -> ()
+  | _ :: rest ->
+      Packet.Pool.retain pkt;
+      retain_each pkt rest
+
+let rec send_each pkt = function
+  | [] -> ()
+  | link :: rest ->
+      Link.send link pkt;
+      send_each pkt rest
 
 (* [receive] owns one reference to [pkt] and settles it on every path:
    terminal deliveries (and undeliverable packets) release it back to
    the pool, each forwarding [Link.send] consumes one reference, and a
    multicast fan-out over [n] links retains [n - 1] extra references
    up front so every branch owns its own claim on the shared record. *)
+(* lint: hot receive -- every packet at every node it reaches; one
+   table probe per hop, no option or closure *)
 let receive t pkt =
   match pkt.Packet.dst with
   | Packet.Unicast a when a = t.id ->
       deliver_local t pkt;
       Packet.Pool.release t.pool pkt
   | Packet.Unicast a -> (
-      match route t ~dest:a with
-      | Some link -> Link.send link pkt
-      | None ->
+      match Itbl.find t.routes a with
+      | link -> Link.send link pkt
+      | exception Not_found ->
           t.undeliverable <- t.undeliverable + 1;
           Packet.Pool.release t.pool pkt)
   | Packet.Multicast g -> (
-      if joined t ~group:g then deliver_local t pkt;
+      if Itbl.mem t.groups g then deliver_local t pkt;
       match mcast_routes t ~group:g with
       | [] -> Packet.Pool.release t.pool pkt
       | [ link ] -> Link.send link pkt
       | first :: rest ->
-          List.iter (fun _ -> Packet.Pool.retain pkt) rest;
+          retain_each pkt rest;
           Link.send first pkt;
-          List.iter (fun link -> Link.send link pkt) rest)
+          send_each pkt rest)
 
 let undeliverable t = t.undeliverable
 

@@ -129,7 +129,7 @@ module Pool = struct
       p.payload <- Raw;
       let cap = Array.length t.free in
       if t.n_free = cap then begin
-        let grown = Array.make (Stdlib.max 16 (2 * cap)) dummy_pkt in
+        let grown = Array.make (Int.max 16 (2 * cap)) dummy_pkt in
         Array.blit t.free 0 grown 0 t.n_free;
         t.free <- grown
       end;

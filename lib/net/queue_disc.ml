@@ -26,13 +26,17 @@ let set_registry t reg ~id =
 
 let capacity t = t.capacity
 
-let on_arrival t ~now ~qlen =
-  if !Sim.Invariant.enabled then
-    Sim.Invariant.require
-      (qlen >= 0 && qlen <= t.capacity)
-      (fun () ->
-        Printf.sprintf
-          "Queue_disc.on_arrival: occupancy %d outside [0, %d]" qlen t.capacity);
+let[@inline never] check_occupancy t ~qlen =
+  Sim.Invariant.require
+    (qlen >= 0 && qlen <= t.capacity)
+    (fun () ->
+      Printf.sprintf "Queue_disc.on_arrival: occupancy %d outside [0, %d]" qlen
+        t.capacity)
+
+(* [on_arrival] and [on_empty] run on every link arrival and every
+   idle transition; [@inline] keeps [now] unboxed into [Red]. *)
+let[@inline] on_arrival t ~now ~qlen =
+  if !Sim.Invariant.enabled then check_occupancy t ~qlen;
   if qlen >= t.capacity then `Drop
   else
     match t.impl with
@@ -40,7 +44,7 @@ let on_arrival t ~now ~qlen =
     | Red_state red -> Red.decide red ~now ~qlen
     | Lossy (p, rng) -> if Sim.Rng.bernoulli rng p then `Drop else `Admit
 
-let on_empty t ~now =
+let[@inline] on_empty t ~now =
   match t.impl with
   | Tail | Lossy _ -> ()
   | Red_state red -> Red.note_empty red ~now

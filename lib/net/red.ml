@@ -23,12 +23,18 @@ type taps = {
   marks_c : Obs.Registry.counter;
 }
 
+(* The float state is a record of floats only, which OCaml stores flat:
+   as mutable fields of the mixed record [t] each write would box. *)
+type floats = {
+  mutable avg : float;
+  mutable q_time : float;  (* start of the current idle period *)
+}
+
 type t = {
   p : params;
   rng : Sim.Rng.t;
-  mutable avg : float;
+  f : floats;
   mutable count : int;  (* packets since last drop while between thresholds *)
-  mutable q_time : float;  (* start of the current idle period *)
   mutable idle : bool;
   mutable drops : int;
   mutable marks : int;
@@ -39,9 +45,8 @@ let create p ~rng =
   {
     p;
     rng;
-    avg = 0.0;
+    f = { avg = 0.0; q_time = 0.0 };
     count = -1;
-    q_time = 0.0;
     idle = true;
     drops = 0;
     marks = 0;
@@ -60,21 +65,23 @@ let set_registry t reg ~id =
         })
       reg
 
-let avg_queue t = t.avg
+let avg_queue t = t.f.avg
 
-let note_empty t ~now =
+let[@inline] note_empty t ~now =
   t.idle <- true;
-  t.q_time <- now
+  t.f.q_time <- now
 
 (* Age the average across an idle period as if m small packets had been
    serviced, per the RED paper. *)
-let update_avg t ~now ~qlen =
+let[@inline] update_avg t ~now ~qlen =
+  let f = t.f in
   if t.idle && qlen = 0 then begin
-    let m = (now -. t.q_time) /. t.p.mean_pkt_time in
-    let m = Stdlib.max 0.0 m in
-    t.avg <- t.avg *. ((1.0 -. t.p.w_q) ** m)
+    let m = (now -. f.q_time) /. t.p.mean_pkt_time in
+    (* [Stdlib.max 0.0 m], without the polymorphic call. *)
+    let m = if 0.0 >= m then 0.0 else m in
+    f.avg <- f.avg *. ((1.0 -. t.p.w_q) ** m)
   end
-  else t.avg <- ((1.0 -. t.p.w_q) *. t.avg) +. (t.p.w_q *. float_of_int qlen)
+  else f.avg <- ((1.0 -. t.p.w_q) *. f.avg) +. (t.p.w_q *. float_of_int qlen)
 
 let record_drop t =
   t.drops <- t.drops + 1;
@@ -84,23 +91,28 @@ let record_mark t =
   t.marks <- t.marks + 1;
   match t.taps with None -> () | Some taps -> Obs.Registry.incr taps.marks_c
 
-let decide t ~now ~qlen =
+let[@inline never] check_avg t =
+  Sim.Invariant.require
+    (Float.is_finite t.f.avg && t.f.avg >= 0.0)
+    (fun () ->
+      Printf.sprintf "Red.decide: average queue %g is not a sane occupancy"
+        t.f.avg)
+
+(* [@inline] (through [Queue_disc.on_arrival] into [Link.send]) so the
+   arrival time and the drop probability stay unboxed. *)
+let[@inline] decide t ~now ~qlen =
   update_avg t ~now ~qlen;
-  if !Sim.Invariant.enabled then
-    Sim.Invariant.require
-      (Float.is_finite t.avg && t.avg >= 0.0)
-      (fun () ->
-        Printf.sprintf "Red.decide: average queue %g is not a sane occupancy"
-          t.avg);
+  if !Sim.Invariant.enabled then check_avg t;
   (match t.taps with
   | None -> ()
-  | Some taps -> Obs.Series.add taps.avg_s ~time:now t.avg);
+  | Some taps -> Obs.Series.add taps.avg_s ~time:now t.f.avg);
   t.idle <- false;
-  if t.avg < t.p.min_th then begin
+  let avg = t.f.avg in
+  if avg < t.p.min_th then begin
     t.count <- -1;
     `Admit
   end
-  else if t.avg >= t.p.max_th then begin
+  else if avg >= t.p.max_th then begin
     t.count <- 0;
     record_drop t;
     `Drop
@@ -108,7 +120,7 @@ let decide t ~now ~qlen =
   else begin
     t.count <- t.count + 1;
     let p_b =
-      t.p.max_p *. (t.avg -. t.p.min_th) /. (t.p.max_th -. t.p.min_th)
+      t.p.max_p *. (avg -. t.p.min_th) /. (t.p.max_th -. t.p.min_th)
     in
     let denom = 1.0 -. (float_of_int t.count *. p_b) in
     let p_a = if denom <= 0.0 then 1.0 else p_b /. denom in
@@ -142,18 +154,18 @@ type state = {
 
 let capture t =
   {
-    s_avg = t.avg;
+    s_avg = t.f.avg;
     s_count = t.count;
-    s_q_time = t.q_time;
+    s_q_time = t.f.q_time;
     s_idle = t.idle;
     s_drops = t.drops;
     s_marks = t.marks;
   }
 
 let restore t st =
-  t.avg <- st.s_avg;
+  t.f.avg <- st.s_avg;
   t.count <- st.s_count;
-  t.q_time <- st.s_q_time;
+  t.f.q_time <- st.s_q_time;
   t.idle <- st.s_idle;
   t.drops <- st.s_drops;
   t.marks <- st.s_marks

@@ -36,7 +36,7 @@ let length t = t.size
 let is_empty t = t.size = 0
 
 (* (prio, seq) at index [i] precedes index [j]. *)
-let lt t i j =
+let[@inline] lt t i j =
   let pi = Array.unsafe_get t.prios i and pj = Array.unsafe_get t.prios j in
   if pi < pj then true
   else if pi > pj then false
@@ -60,45 +60,51 @@ let grow t =
 (* Sifts are hole-based: instead of swapping three arrays at every
    level, the moving element's (prio, seq) stay in registers while
    displaced entries are pulled into the hole, and the caller writes
-   the moving element once at the returned index.  Both loops are
-   tail-recursive, so the hot path allocates nothing.  Unsafe accesses
-   are in-bounds by construction ([grow] ran / indices < [t.size]). *)
+   the moving element once at the returned index.  Both are loops
+   marked [@inline]: a float argument to a function that is not
+   inlined is boxed on every call, so the moving priority must never
+   cross a call.  Unsafe accesses are in-bounds by construction
+   ([grow] ran / indices < [t.size]). *)
 
 (* Final index for an element [(prio, seq)] inserted at hole [i],
    pulling larger parents down as it ascends. *)
-let rec sift_up_hole t ~prio ~seq i =
-  if i = 0 then 0
-  else begin
-    let parent = (i - 1) / 2 in
+let[@inline] sift_up_hole t ~prio ~seq i =
+  let i = ref i in
+  let moving = ref true in
+  while !moving && !i > 0 do
+    let parent = (!i - 1) / 2 in
     let pp = Array.unsafe_get t.prios parent in
     if prio < pp || (prio = pp && seq < Array.unsafe_get t.seqs parent) then begin
-      Array.unsafe_set t.prios i pp;
-      Array.unsafe_set t.seqs i (Array.unsafe_get t.seqs parent);
-      Array.unsafe_set t.vals i (Array.unsafe_get t.vals parent);
-      sift_up_hole t ~prio ~seq parent
+      Array.unsafe_set t.prios !i pp;
+      Array.unsafe_set t.seqs !i (Array.unsafe_get t.seqs parent);
+      Array.unsafe_set t.vals !i (Array.unsafe_get t.vals parent);
+      i := parent
     end
-    else i
-  end
+    else moving := false
+  done;
+  !i
 
 (* Final index for an element [(prio, seq)] descending from hole [i],
    pulling the smaller child up at each level. *)
-let rec sift_down_hole t ~prio ~seq i =
-  let left = (2 * i) + 1 in
-  if left >= t.size then i
-  else begin
+let[@inline] sift_down_hole t ~prio ~seq i =
+  let i = ref i in
+  let moving = ref true in
+  while !moving && (2 * !i) + 1 < t.size do
+    let left = (2 * !i) + 1 in
     let right = left + 1 in
     let c = if right < t.size && lt t right left then right else left in
     let cp = Array.unsafe_get t.prios c in
     if cp < prio || (cp = prio && Array.unsafe_get t.seqs c < seq) then begin
-      Array.unsafe_set t.prios i cp;
-      Array.unsafe_set t.seqs i (Array.unsafe_get t.seqs c);
-      Array.unsafe_set t.vals i (Array.unsafe_get t.vals c);
-      sift_down_hole t ~prio ~seq c
+      Array.unsafe_set t.prios !i cp;
+      Array.unsafe_set t.seqs !i (Array.unsafe_get t.seqs c);
+      Array.unsafe_set t.vals !i (Array.unsafe_get t.vals c);
+      i := c
     end
-    else i
-  end
+    else moving := false
+  done;
+  !i
 
-let push t ~prio ~seq value =
+let[@inline] push t ~prio ~seq value =
   grow t;
   let v = Obj.repr value in
   let i = sift_up_hole t ~prio ~seq t.size in
@@ -107,7 +113,10 @@ let push t ~prio ~seq value =
   Array.unsafe_set t.seqs i seq;
   Array.unsafe_set t.vals i v
 
-let add t ~prio value =
+(* [@inline] so the priority reaches the unboxed array without being
+   boxed at the call: the scheduler inlines this into [schedule_at]. *)
+(* lint: hot add -- every scheduled event; must not box the priority *)
+let[@inline] add t ~prio value =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   push t ~prio ~seq value
@@ -142,21 +151,36 @@ let restore t ~next_seq entries =
   List.iter (fun (prio, seq, value) -> push t ~prio ~seq value) entries;
   t.next_seq <- next_seq
 
+(* Cold paths live in [@inline never] helpers: a closure or a [Printf]
+   call inside a hot function keeps it from being inlined, and the
+   floats such a message mentions would be boxed. *)
+let[@inline never] empty_heap fn = invalid_arg (fn ^ ": empty heap")
+
+(* Stable-order backstop: everything still in the heap was >= the
+   popped root (in (prio, seq) order), so the new root must be too. *)
+let[@inline never] check_pop_order t ~prio ~seq =
+  Invariant.require
+    (not (t.prios.(0) < prio || (t.prios.(0) = prio && t.seqs.(0) < seq)))
+    (fun () ->
+      Printf.sprintf
+        "Heap.pop: successor (%g, #%d) precedes popped entry (%g, #%d)"
+        t.prios.(0) t.seqs.(0) prio seq)
+
 let min_prio t = if t.size = 0 then None else Some t.prios.(0)
 
 (* lint: hot top_prio -- read once per scheduler step; must stay a bare
    unboxed array load *)
-let top_prio t =
-  if t.size = 0 then invalid_arg "Heap.top_prio: empty heap";
-  t.prios.(0)
+let[@inline] top_prio t =
+  if t.size = 0 then empty_heap "Heap.top_prio";
+  Array.unsafe_get t.prios 0
 
 let peek t =
   if t.size = 0 then None
   else Some (t.prios.(0), (Obj.obj t.vals.(0) : 'a))
 
 let top_seq t =
-  if t.size = 0 then invalid_arg "Heap.top_seq: empty heap";
-  t.seqs.(0)
+  if t.size = 0 then empty_heap "Heap.top_seq";
+  Array.unsafe_get t.seqs 0
 
 (* Allocation-free root removal for the scheduler's fire loop: the
    caller reads (prio, seq) via [top_prio]/[top_seq] first, so only the
@@ -166,7 +190,7 @@ let top_seq t =
 (* lint: hot pop_top -- the scheduler fire loop's root removal; PR 6's
    2-2.5x events/s win rests on this staying allocation-free *)
 let pop_top t =
-  if t.size = 0 then invalid_arg "Heap.pop_top: empty heap";
+  if t.size = 0 then empty_heap "Heap.pop_top";
   let prio = Array.unsafe_get t.prios 0 in
   let seq = Array.unsafe_get t.seqs 0 in
   let value : 'a = Obj.obj (Array.unsafe_get t.vals 0) in
@@ -181,15 +205,7 @@ let pop_top t =
     Array.unsafe_set t.prios i mp;
     Array.unsafe_set t.seqs i ms;
     Array.unsafe_set t.vals i mv;
-    (* Stable-order backstop: everything still in the heap was >= the
-       popped root (in (prio, seq) order), so the new root must be too. *)
-    if !Invariant.enabled then
-      Invariant.require
-        (not (t.prios.(0) < prio || (t.prios.(0) = prio && t.seqs.(0) < seq)))
-        (fun () ->
-          Printf.sprintf
-            "Heap.pop: successor (%g, #%d) precedes popped entry (%g, #%d)"
-            t.prios.(0) t.seqs.(0) prio seq)
+    if !Invariant.enabled then check_pop_order t ~prio ~seq
   end
   else Array.unsafe_set t.vals 0 dummy;
   value

@@ -6,8 +6,12 @@
    instrumented run stays byte-identical to an uninstrumented one.
 
    Gate: the RLA_DEBUG_INVARIANTS environment variable at startup
-   (1/true/yes/on), or [set_enabled] from tests.  Disabled, the cost at
-   every check site is a single ref read. *)
+   (1/true/yes/on), or [set_enabled] from tests.  Disabled, a check site
+   costs one ref read and a branch, provided the site is written as
+   [if !enabled then check_x ...] with the [require] call and its
+   message thunk in an [@inline never] helper.  A closure written at
+   the site itself stops the compiler from inlining the enclosing hot
+   function, and the floats the message mentions may then be boxed. *)
 
 exception Violation of string
 
@@ -39,8 +43,8 @@ let reset_counters () =
   Atomic.set failures 0
 
 (* [msg] is a thunk so the failure string is only built when the check
-   actually fails; call sites guard on [!enabled] themselves to keep
-   the disabled cost to one ref read. *)
+   actually fails; call sites guard on [!enabled] themselves (see the
+   top of this file for the disabled cost). *)
 let require cond msg =
   Atomic.incr checks;
   if not cond then begin

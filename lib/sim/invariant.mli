@@ -6,8 +6,9 @@
 exception Violation of string
 
 val enabled : bool ref
-(** Check sites guard on [!enabled] so the disabled cost is one ref
-    read per site. *)
+(** Check sites guard on [!enabled] and call {!require} from an
+    [@inline never] helper, so the disabled cost is one ref read and a
+    branch per site, and the enclosing function can still be inlined. *)
 
 val set_enabled : bool -> unit
 

@@ -4,43 +4,56 @@
 (* lint: allow-file ckpt-coverage -- state/set_state are this module's
    capture/restore pair; checkpoints carry the generator exactly *)
 
-type t = { mutable state : int64 }
+(* The counter lives in an 8-byte buffer rather than a [mutable state :
+   int64] field: an int64 field is a pointer to a boxed custom block,
+   so every draw would allocate a fresh one, while the native compiler
+   reads and writes [Bytes] int64s unboxed.  With [mix]/[bits64]/
+   [uniform] inlined, a draw allocates nothing. *)
+type t = Bytes.t
+
+let[@inline] get t = Bytes.get_int64_ne t 0
+
+let[@inline] set t s = Bytes.set_int64_ne t 0 s
+
+let of_state s =
+  let t = Bytes.create 8 in
+  set t s;
+  t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix (Int64.of_int seed) }
+let create seed = of_state (mix (Int64.of_int seed))
 
 (* Checkpoint/restore: the whole generator is one 64-bit counter, so
    the explicit state API is exact — no reaching into opaque stdlib
    [Random.State] internals, and a restored stream continues the
    original sequence bit-for-bit. *)
-let state t = t.state
+let state t = get t
 
-let set_state t s = t.state <- s
+let set_state t s = set t s
 
-let of_state s = { state = s }
-
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] bits64 t =
+  let s = Int64.add (get t) golden_gamma in
+  set t s;
+  mix s
 
 let split t =
   let seed = bits64 t in
-  { state = mix seed }
+  of_state (mix seed)
 
-let copy t = { state = t.state }
+let copy t = Bytes.copy t
 
 (* 53 uniformly random mantissa bits -> float in [0, 1). *)
-let uniform t =
+let[@inline] uniform t =
   let bits = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
 
-let float t bound = uniform t *. bound
+let[@inline] float t bound = uniform t *. bound
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -50,7 +63,7 @@ let int t bound =
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
-let bernoulli t p = uniform t < p
+let[@inline] bernoulli t p = uniform t < p
 
 let exponential t mean =
   let u = uniform t in

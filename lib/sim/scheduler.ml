@@ -22,6 +22,12 @@ type taps = {
   heartbeat : Obs.Series.t;
 }
 
+(* The clock lives in a record of its own: a record whose fields are
+   all floats is stored flat, so advancing the clock on every event
+   writes a raw double instead of allocating a fresh box, as a mutable
+   float field of the mixed record [t] would. *)
+type clock = { mutable now : float }
+
 (* [rearm_times] is non-empty only between [restore] and the end of the
    owning components' re-arm pass: it maps each restored pending id to
    its fire time until the component that owns the event re-attaches a
@@ -31,7 +37,7 @@ type t = {
   mutable flags : Bytes.t;  (* bit id = event id is pending *)
   mutable pending_count : int;
   rearm_times : (int, float) Hashtbl.t;
-  mutable clock : float;
+  clock : clock;
   mutable next_id : int;
   mutable fired : int;
   mutable taps : taps option;
@@ -45,7 +51,7 @@ let create () =
     flags = Bytes.make initial_flag_bytes '\000';
     pending_count = 0;
     rearm_times = Hashtbl.create 16;
-    clock = 0.0;
+    clock = { now = 0.0 };
     next_id = 0;
     fired = 0;
     taps = None;
@@ -89,16 +95,25 @@ let set_registry t reg =
         })
       reg
 
-let now t = t.clock
+let[@inline] now t = t.clock.now
 
-let schedule_at t time action =
-  if not (Float.is_finite time) then
-    invalid_arg
-      (Printf.sprintf "Scheduler.schedule_at: fire time %g is not finite" time);
-  if time < t.clock then
-    invalid_arg
-      (Printf.sprintf "Scheduler.schedule_at: %g is in the past (now %g)" time
-         t.clock);
+(* Cold failure paths, kept out of line so the scheduling functions
+   below stay small enough to inline and never box a fire time. *)
+let[@inline never] not_finite fn what v =
+  invalid_arg (Printf.sprintf "Scheduler.%s: %s %g is not finite" fn what v)
+
+let[@inline never] in_the_past time now =
+  invalid_arg
+    (Printf.sprintf "Scheduler.schedule_at: %g is in the past (now %g)" time now)
+
+(* [schedule_at] and [schedule_after] are [@inline]: their float
+   argument then reaches the heap's unboxed priority array without
+   being boxed at any call. *)
+(* lint: hot schedule_at -- every scheduled event; the fire time must
+   reach the heap unboxed *)
+let[@inline] schedule_at t time action =
+  if not (Float.is_finite time) then not_finite "schedule_at" "fire time" time;
+  if time < t.clock.now then in_the_past time t.clock.now;
   let id = t.next_id in
   t.next_id <- id + 1;
   Heap.add t.queue ~prio:time action;
@@ -106,17 +121,20 @@ let schedule_at t time action =
   t.pending_count <- t.pending_count + 1;
   id
 
-let schedule_after t delay action =
-  if not (Float.is_finite delay) then
-    invalid_arg
-      (Printf.sprintf "Scheduler.schedule_after: delay %g is not finite" delay);
-  schedule_at t (t.clock +. delay) action
+let[@inline] schedule_after t delay action =
+  if not (Float.is_finite delay) then not_finite "schedule_after" "delay" delay;
+  schedule_at t (t.clock.now +. delay) action
 
 let cancel t id =
   if id >= 0 && id < t.next_id && flag_is_set t id then begin
     clear_flag t id;
     t.pending_count <- t.pending_count - 1
   end
+
+let[@inline never] check_monotone t ~id ~time =
+  Invariant.require (time >= t.clock.now) (fun () ->
+      Printf.sprintf "Scheduler.step: event %d fires at %g, before the clock %g"
+        id time t.clock.now)
 
 (* Pop one event.  [`Fired] executed an event, [`Skipped] discarded a
    lazily-cancelled entry, [`Done] means the queue is exhausted or the
@@ -138,12 +156,8 @@ let step t horizon =
       if flag_is_set t id then begin
           clear_flag t id;
           t.pending_count <- t.pending_count - 1;
-          if !Invariant.enabled then
-            Invariant.require (time >= t.clock) (fun () ->
-                Printf.sprintf
-                  "Scheduler.step: event %d fires at %g, before the clock %g"
-                  id time t.clock);
-          t.clock <- time;
+          if !Invariant.enabled then check_monotone t ~id ~time;
+          t.clock.now <- time;
           t.fired <- t.fired + 1;
           (match t.taps with
           | None -> ()
@@ -163,7 +177,7 @@ let run_until t horizon =
   while !continue do
     match step t horizon with `Fired | `Skipped -> () | `Done -> continue := false
   done;
-  if horizon > t.clock then t.clock <- horizon
+  if horizon > t.clock.now then t.clock.now <- horizon
 
 let run_until_empty t ~max_events =
   let budget = ref max_events in
@@ -204,7 +218,7 @@ let capture t =
       (Heap.capture t.queue)
   in
   {
-    s_clock = t.clock;
+    s_clock = t.clock.now;
     s_next_id = t.next_id;
     s_fired = t.fired;
     s_pending = List.sort (fun (a, _) (b, _) -> Int.compare a b) pend;
@@ -217,7 +231,7 @@ let restore t st =
   ensure_flag_capacity t st.s_next_id;
   t.pending_count <- 0;
   Hashtbl.reset t.rearm_times;
-  t.clock <- st.s_clock;
+  t.clock.now <- st.s_clock;
   t.next_id <- st.s_next_id;
   t.fired <- st.s_fired;
   List.iter (fun (id, at) -> Hashtbl.replace t.rearm_times id at) st.s_pending

@@ -1,3 +1,5 @@
+(* A record of floats only, which OCaml stores flat: updates write raw
+   doubles and allocate nothing. *)
 type t = {
   mutable start : float;
   mutable last_time : float;
@@ -8,9 +10,12 @@ type t = {
 let create ~start ~value =
   { start; last_time = start; last_value = value; weighted_sum = 0.0 }
 
-let update t ~time ~value =
-  if time < t.last_time then
-    invalid_arg "Time_avg.update: time moves backwards";
+let[@inline never] backwards () =
+  invalid_arg "Time_avg.update: time moves backwards"
+
+(* [@inline] so [time] and [value] are not boxed at the call. *)
+let[@inline] update t ~time ~value =
+  if time < t.last_time then backwards ();
   t.weighted_sum <- t.weighted_sum +. (t.last_value *. (time -. t.last_time));
   t.last_time <- time;
   t.last_value <- value

@@ -149,7 +149,11 @@ let on_data t ~seq ~sent_at ~ecn =
           Hashtbl.remove t.ooo t.expected;
           t.expected <- t.expected + 1
         done;
-        t.recent <- List.filter (fun r -> r >= t.expected) t.recent
+        (* Guarded: the filter's closure would be allocated even for
+           the empty list of an in-order stream. *)
+        match t.recent with
+        | [] -> ()
+        | recent -> t.recent <- List.filter (fun r -> r >= t.expected) recent
       end
       else begin
         Hashtbl.replace t.ooo seq ();

@@ -98,7 +98,7 @@ let is_lost t seq = in_window t seq && get_flags t seq land f_lost <> 0
 
 let is_rexmitted t seq = in_window t seq && get_flags t seq land f_rexmitted <> 0
 
-let sack_one t seq =
+let sack t seq =
   if in_window t seq then begin
     let f = get_flags t seq in
     if f land f_sacked <> 0 then false
@@ -116,40 +116,12 @@ let sack_one t seq =
 let mark_sacked t ~lo ~hi =
   let newly = ref 0 in
   for seq = lo to hi - 1 do
-    if sack_one t seq then incr newly
+    if sack t seq then incr newly
   done;
   !newly
 
-let mark_sacked_seqs t ~lo ~hi =
-  let newly = ref [] in
-  for seq = lo to hi - 1 do
-    if sack_one t seq then newly := seq :: !newly
-  done;
-  List.rev !newly
-
-let advance_cum_seqs t ack =
-  if ack <= t.high_ack then []
-  else begin
-    let ack = Stdlib.min ack t.next_seq in
-    let fresh = ref [] in
-    for seq = t.high_ack to ack - 1 do
-      let f = get_flags t seq in
-      if f land f_sacked <> 0 then t.sacked_cnt <- t.sacked_cnt - 1
-      else begin
-        fresh := seq :: !fresh;
-        if f land f_lost <> 0 then t.lost_cnt <- t.lost_cnt - 1;
-        if f land f_rexmitted <> 0 then t.rexmit_out <- t.rexmit_out - 1
-      end;
-      clear_slot t seq
-    done;
-    t.high_ack <- ack;
-    if t.loss_floor < ack then t.loss_floor <- ack;
-    List.rev !fresh
-  end
-
-(* Counting variant of {!advance_cum_seqs}: same transition, no list
-   built.  Returns how far the cumulative point moved (previously
-   SACKed positions count as newly acknowledged too). *)
+(* Returns how far the cumulative point moved (previously SACKed
+   positions count as newly acknowledged too). *)
 let advance_cum t ack =
   if ack <= t.high_ack then 0
   else begin
@@ -181,10 +153,11 @@ let mark_lost t seq =
     end
   end
 
+(* A packet is lost once a packet >= seq + dupthresh has been SACKed;
+   only the range [loss_floor, highest_sacked - dupthresh] can contain
+   fresh losses.  The list is built only when there are losses, so the
+   common ack allocates nothing here. *)
 let detect_losses t ~dupthresh =
-  (* A packet is lost once a packet >= seq + dupthresh has been SACKed;
-     only the range [loss_floor, highest_sacked - dupthresh] can contain
-     fresh losses. *)
   let upper = t.highest_sacked - dupthresh in
   let result = ref [] in
   if upper >= t.loss_floor then begin
@@ -195,22 +168,18 @@ let detect_losses t ~dupthresh =
   end;
   List.rev !result
 
-(* One traversal per ack instead of one for the cumulative advance, one
-   per SACK block and one for loss detection rebuilding lists between
-   the steps; the sender's hot ack path calls this. *)
-let rec sacked_in_blocks t acc = function
-  | [] -> acc
-  | (lo, hi) :: rest -> sacked_in_blocks t (acc + mark_sacked t ~lo ~hi) rest
+let rec sack_blocks t = function
+  | [] -> ()
+  | (lo, hi) :: rest ->
+      ignore (mark_sacked t ~lo ~hi : int);
+      sack_blocks t rest
 
-(* lint: hot process_ack -- once per received ack on the sender fast
-   path; the fused single-pass design is the PR 6 scoreboard win *)
+(* lint: hot process_ack -- one ack in one call: cumulative advance,
+   SACK blocks, loss detection; no tuple, and no list unless a loss *)
 let process_ack t ~cum_ack ~blocks ~dupthresh =
-  let newly_cum = advance_cum t cum_ack in
-  let newly_sacked = sacked_in_blocks t 0 blocks in
-  let losses = detect_losses t ~dupthresh in
-  (* lint: allow alloc-hot -- the (cum, sacked, losses) triple is the
-     sender-facing API; one tuple per ack, locked in by bench-trend *)
-  (newly_cum, newly_sacked, losses)
+  ignore (advance_cum t cum_ack : int);
+  sack_blocks t blocks;
+  detect_losses t ~dupthresh
 
 let mark_all_lost t =
   let marked = ref 0 in

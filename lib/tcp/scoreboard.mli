@@ -37,34 +37,23 @@ val mark_sacked : t -> lo:int -> hi:int -> int
 (** SACK the half-open range; returns the number of newly SACKed
     packets.  Ranges at or below [high_ack] are ignored. *)
 
-val mark_sacked_seqs : t -> lo:int -> hi:int -> int list
-(** Like {!mark_sacked} but returns the newly SACKed sequence numbers
-    (ascending).  The RLA sender needs them to maintain its
-    acked-by-all coverage counts without double counting. *)
-
-val advance_cum_seqs : t -> int -> int list
-(** Like {!advance_cum} but returns the sequence numbers in the newly
-    acknowledged range that had {e not} been SACKed before (ascending);
-    previously SACKed packets were already reported by
-    {!mark_sacked_seqs}. *)
-
 val detect_losses : t -> dupthresh:int -> int list
 (** Newly lost packets (ascending), marking them lost as a side
     effect. *)
 
+val sack : t -> int -> bool
+(** SACK one packet; [true] if it was in the window and not SACKed
+    before.  The RLA sender walks SACK blocks with it to keep its
+    acked-by-all coverage counts without double counting. *)
+
 val process_ack :
-  t ->
-  cum_ack:int ->
-  blocks:(int * int) list ->
-  dupthresh:int ->
-  int * int * int list
-(** One-pass ack processing for the sender hot path: advance the
-    cumulative point, apply the SACK blocks (half-open [(lo, hi)]
-    ranges) and run loss detection in a single call, without building
-    the intermediate per-step sequence lists.  Returns
-    [(newly_cum_acked, newly_sacked, new_losses)] — exactly what the
-    separate {!advance_cum} / {!mark_sacked} / {!detect_losses} calls
-    would have produced. *)
+  t -> cum_ack:int -> blocks:(int * int) list -> dupthresh:int -> int list
+(** One ack in one call: advance the cumulative point, apply the SACK
+    blocks (half-open [(lo, hi)] ranges) and run loss detection, the
+    same transitions as separate {!advance_cum} / {!mark_sacked} /
+    {!detect_losses} calls.  Returns the newly lost packets; the
+    cumulative advance shows in {!high_ack}.  Allocates nothing unless
+    a loss is detected. *)
 
 val mark_lost : t -> int -> bool
 (** Force-mark one packet lost (used on timeout); [false] if it was

@@ -45,6 +45,15 @@ type taps = {
   ssthresh_g : Obs.Registry.gauge;
 }
 
+(* The congestion window's floats sit in a record of floats only, which
+   OCaml stores flat: as mutable fields of the mixed record [t], every
+   window update on every ack would box a fresh float. *)
+type window = { mutable cwnd : float; mutable ssthresh : float }
+
+(* [timer] holds [no_timer] when unarmed: re-armed on every delivering
+   ack, it would otherwise allocate a [Some] cell each time. *)
+let no_timer = -1
+
 type t = {
   net : Net.Network.t;
   params : params;
@@ -54,11 +63,10 @@ type t = {
   sb : Scoreboard.t;
   rto : Rto.t;
   receiver : Receiver.t;
-  mutable cwnd : float;
-  mutable ssthresh : float;
+  w : window;
   mutable in_recovery : bool;
   mutable recover_point : int;
-  mutable timer : Sim.Scheduler.event_id option;
+  mutable timer : Sim.Scheduler.event_id;  (* [no_timer] when unarmed *)
   (* One shared closure for every RTO (re)arm — the timer is re-armed
      on each delivering ack, so a per-arm closure is hot-path litter. *)
   mutable timeout_thunk : unit -> unit;
@@ -95,9 +103,9 @@ type t = {
 
 let flow t = t.flow
 
-let cwnd t = t.cwnd
+let cwnd t = t.w.cwnd
 
-let ssthresh t = t.ssthresh
+let ssthresh t = t.w.ssthresh
 
 let in_recovery t = t.in_recovery
 
@@ -142,10 +150,19 @@ let rwnd_pkts t =
    scoreboard work; pure integer compares, no allocation *)
 let ack_in_window t ~cum_ack = cum_ack <= Scoreboard.next_seq t.sb
 
+(* Clamped to [1, max_cwnd] with explicit [if]s: [Stdlib.max]/[min]
+   are polymorphic and box both floats.  Same results, NaN included. *)
 let set_cwnd t value =
-  let value = Stdlib.max 1.0 (Stdlib.min value t.params.max_cwnd) in
-  t.cwnd <- value;
+  let max_cwnd = t.params.max_cwnd in
+  let value = if value <= max_cwnd then value else max_cwnd in
+  let value = if 1.0 >= value then 1.0 else value in
+  t.w.cwnd <- value;
   Stats.Time_avg.update t.cwnd_avg ~time:(now t) ~value
+
+(* [Stdlib.max 2.0 (cwnd /. 2.0)] without the polymorphic call. *)
+let half_window t =
+  let h = t.w.cwnd /. 2.0 in
+  if 2.0 >= h then 2.0 else h
 
 (* One aligned (cwnd, bytes_acked) probe: both series get a sample at
    every call point, so their decimation schedules — and therefore
@@ -155,10 +172,10 @@ let probe_flow t =
   | None -> ()
   | Some taps ->
       let time = now t in
-      Obs.Series.add taps.cwnd_s ~time t.cwnd;
+      Obs.Series.add taps.cwnd_s ~time t.w.cwnd;
       Obs.Series.add taps.bytes_s ~time
         (float_of_int (delivered t * t.params.data_size));
-      Obs.Registry.set taps.ssthresh_g t.ssthresh
+      Obs.Registry.set taps.ssthresh_g t.w.ssthresh
 
 let probe_cut t =
   match t.taps with
@@ -166,12 +183,12 @@ let probe_cut t =
   | Some taps ->
       Obs.Registry.incr taps.cuts_c;
       Obs.Registry.emit taps.reg ~time:(now t) ~source:taps.source
-        ~event:"window_cut" ~value:t.cwnd
+        ~event:"window_cut" ~value:t.w.cwnd
 
 let avg_cwnd t = Stats.Time_avg.average t.cwnd_avg ~upto:(now t)
 
 let reset_measurement t =
-  Stats.Time_avg.reset t.cwnd_avg ~start:(now t) ~value:t.cwnd;
+  Stats.Time_avg.reset t.cwnd_avg ~start:(now t) ~value:t.w.cwnd;
   t.rtt := Stats.Welford.create ();
   t.meas_time <- now t;
   t.meas_delivered <- delivered t;
@@ -208,7 +225,7 @@ let snapshot t =
     retransmits = t.retransmits - t.meas_retransmits;
     window_cuts = t.window_cuts - t.meas_window_cuts;
     timeouts = t.timeouts - t.meas_timeouts;
-    cwnd_now = t.cwnd;
+    cwnd_now = t.w.cwnd;
     cwnd_avg = avg_cwnd t;
     rtt_avg = Stats.Welford.mean !(t.rtt);
     throughput = rate delivered_span;
@@ -216,11 +233,10 @@ let snapshot t =
   }
 
 let cancel_timer t =
-  match t.timer with
-  | None -> ()
-  | Some id ->
-      Sim.Scheduler.cancel (Net.Network.scheduler t.net) id;
-      t.timer <- None
+  if t.timer <> no_timer then begin
+    Sim.Scheduler.cancel (Net.Network.scheduler t.net) t.timer;
+    t.timer <- no_timer
+  end
 
 let cancel_persist t =
   match t.persist_timer with
@@ -239,14 +255,22 @@ let send_data t ~seq ~rexmit =
   else t.sent_new <- t.sent_new + 1;
   Net.Network.send t.net pkt
 
+let is_complete t = Option.is_some t.completed_at
+
+(* Room for a new packet: below the transfer limit, and unacknowledged
+   data fits the peer window (flow control). *)
+let can_send_new t =
+  (match t.params.limit with
+  | None -> true
+  | Some limit -> Scoreboard.next_seq t.sb < limit)
+  && Scoreboard.in_flight_window t.sb < rwnd_pkts t
+
 let rec arm_timer t =
-  if t.timer = None && t.completed_at = None then begin
-    let sched = Net.Network.scheduler t.net in
-    let id =
-      Sim.Scheduler.schedule_after sched (Rto.timeout t.rto) t.timeout_thunk
-    in
-    t.timer <- Some id
-  end
+  if t.timer = no_timer && not (is_complete t) then
+    t.timer <-
+      Sim.Scheduler.schedule_after
+        (Net.Network.scheduler t.net)
+        (Rto.timeout t.rto) t.timeout_thunk
 
 and restart_timer t =
   cancel_timer t;
@@ -254,25 +278,18 @@ and restart_timer t =
 
 and try_send t =
   if t.established then begin
-    let can_send_new () =
-      (match t.params.limit with
-      | None -> true
-      | Some limit -> Scoreboard.next_seq t.sb < limit)
-      (* Flow control: unacknowledged data must fit the peer window. *)
-      && Scoreboard.in_flight_window t.sb < rwnd_pkts t
-    in
     let budget = ref t.params.max_burst in
     let blocked = ref false in
     while
       (not !blocked) && !budget > 0
-      && Scoreboard.pipe t.sb < int_of_float t.cwnd
+      && Scoreboard.pipe t.sb < int_of_float t.w.cwnd
     do
       (match Scoreboard.next_retransmit t.sb with
       | Some seq ->
           Scoreboard.mark_retransmitted t.sb seq;
           send_data t ~seq ~rexmit:true
       | None ->
-          if can_send_new () then begin
+          if can_send_new t then begin
             let seq = Scoreboard.register_send t.sb in
             send_data t ~seq ~rexmit:false
           end
@@ -280,14 +297,14 @@ and try_send t =
       decr budget
     done;
     if Scoreboard.in_flight_window t.sb > 0 then arm_timer t
-    else if rwnd_pkts t = 0 && t.completed_at = None then
+    else if rwnd_pkts t = 0 && not (is_complete t) then
       (* Zero window and nothing in flight: only a probe can solicit
          the reopening advertisement (the peer has nothing to ack). *)
       arm_persist t
   end
 
 and arm_persist t =
-  if t.persist_timer = None && t.completed_at = None then begin
+  if Option.is_none t.persist_timer && not (is_complete t) then begin
     let interval =
       Stdlib.min
         (Rto.timeout t.rto *. (2.0 ** float_of_int t.persist_shift))
@@ -301,7 +318,7 @@ and arm_persist t =
   end
 
 and on_persist t =
-  if t.established && t.completed_at = None && rwnd_pkts t = 0 then begin
+  if t.established && (not (is_complete t)) && rwnd_pkts t = 0 then begin
     let pkt =
       Net.Network.make_packet t.net ~flow:t.flow ~src:t.src
         ~dst:(Net.Packet.Unicast t.dst) ~size:Wire.ack_size
@@ -329,7 +346,7 @@ and send_syn t =
 and on_timeout t =
   if not t.established then begin
     (* SYN retransmission with exponential backoff. *)
-    if t.completed_at = None then begin
+    if not (is_complete t) then begin
       Rto.backoff t.rto;
       send_syn t
     end
@@ -340,7 +357,7 @@ and on_timeout t =
     if Scoreboard.in_flight_window t.sb > 0 then begin
       t.timeouts <- t.timeouts + 1;
       t.window_cuts <- t.window_cuts + 1;
-      t.ssthresh <- Stdlib.max 2.0 (t.cwnd /. 2.0);
+      t.w.ssthresh <- half_window t;
       set_cwnd t 1.0;
       probe_cut t;
       probe_flow t;
@@ -356,15 +373,24 @@ let enter_recovery t =
   t.in_recovery <- true;
   t.recover_point <- Scoreboard.next_seq t.sb;
   t.window_cuts <- t.window_cuts + 1;
-  t.ssthresh <- Stdlib.max 2.0 (t.cwnd /. 2.0);
-  set_cwnd t t.ssthresh;
+  t.w.ssthresh <- half_window t;
+  set_cwnd t t.w.ssthresh;
   probe_cut t
 
 let grow_window t newly =
+  let w = t.w in
   for _ = 1 to newly do
-    if t.cwnd < t.ssthresh then set_cwnd t (t.cwnd +. 1.0)
-    else set_cwnd t (t.cwnd +. (1.0 /. t.cwnd))
+    if w.cwnd < w.ssthresh then set_cwnd t (w.cwnd +. 1.0)
+    else set_cwnd t (w.cwnd +. (1.0 /. w.cwnd))
   done
+
+(* Apply the ack's SACK blocks: recursion rather than a [List.map] into
+   the scoreboard's pair form, which would allocate on every ack. *)
+let rec sack_blocks sb = function
+  | [] -> ()
+  | { Wire.block_lo; block_hi } :: rest ->
+      ignore (Scoreboard.mark_sacked sb ~lo:block_lo ~hi:block_hi : int);
+      sack_blocks sb rest
 
 let check_completion t =
   match (t.params.limit, t.completed_at) with
@@ -382,7 +408,7 @@ let on_ack t ~cum_ack ~blocks ~echo ~ece ~rwnd =
     t.ghost_acks <- t.ghost_acks + 1
   else begin
     t.rwnd_field <- rwnd;
-    if rwnd <> 0 && t.persist_timer <> None then begin
+    if rwnd <> 0 && Option.is_some t.persist_timer then begin
       cancel_persist t;
       t.persist_shift <- 0
     end;
@@ -394,18 +420,18 @@ let on_ack t ~cum_ack ~blocks ~echo ~ece ~rwnd =
       && Scoreboard.range_has_rexmit t.sb ~lo:(Scoreboard.high_ack t.sb)
            ~hi:cum_ack
     in
-    if echo >= 0.0 then Rto.sample ~rexmitted t.rto (now t -. echo);
+    (* A constant [~rexmitted:true] is a static [Some]; passing the
+       variable would allocate one per ack. *)
+    if echo >= 0.0 then
+      if rexmitted then Rto.sample ~rexmitted:true t.rto (now t -. echo)
+      else Rto.sample t.rto (now t -. echo);
     (match t.taps with
     | None -> ()
     | Some taps -> Obs.Series.add taps.srtt_s ~time:(now t) (Rto.srtt t.rto));
-    let newly, _, losses =
-      Scoreboard.process_ack t.sb ~cum_ack
-        ~blocks:
-          (List.map
-             (fun { Wire.block_lo; block_hi } -> (block_lo, block_hi))
-             blocks)
-        ~dupthresh:t.params.dupthresh
-    in
+    let newly = Scoreboard.advance_cum t.sb cum_ack in
+    sack_blocks t.sb blocks;
+    (* Built only when there are losses: no allocation on a clean ack. *)
+    let losses = Scoreboard.detect_losses t.sb ~dupthresh:t.params.dupthresh in
     if newly > 0 then begin
       restart_timer t;
       if t.in_recovery && Scoreboard.high_ack t.sb >= t.recover_point then
@@ -415,7 +441,7 @@ let on_ack t ~cum_ack ~blocks ~echo ~ece ~rwnd =
     if (losses <> [] || ece) && not t.in_recovery then enter_recovery t;
     probe_flow t;
     check_completion t;
-    if t.completed_at = None then try_send t
+    if not (is_complete t) then try_send t
   end
 
 let on_syn_ack t ~options ~rwnd ~sent_at =
@@ -433,14 +459,12 @@ let on_syn_ack t ~options ~rwnd ~sent_at =
 
 let completed_at t = t.completed_at
 
-let is_complete t = t.completed_at <> None
-
 (* Flow churn: end the flow now.  Reuses the finite-flow completion
    machinery — acknowledgments for packets already in flight keep
    draining (and updating the scoreboard), but no new transmission or
    retransmission is ever scheduled again. *)
 let stop t =
-  if t.completed_at = None then begin
+  if not (is_complete t) then begin
     t.completed_at <- Some (now t);
     cancel_timer t;
     cancel_persist t
@@ -463,11 +487,11 @@ let create ~net ~src ~dst ?(params = default_params) ?(start_at = 0.0) () =
       sb = Scoreboard.create ();
       rto = Rto.create ~min_rto:params.min_rto ();
       receiver;
-      cwnd = Stdlib.max 1.0 params.init_cwnd;
-      ssthresh = params.init_ssthresh;
+      w =
+        { cwnd = Stdlib.max 1.0 params.init_cwnd; ssthresh = params.init_ssthresh };
       in_recovery = false;
       recover_point = 0;
-      timer = None;
+      timer = no_timer;
       timeout_thunk = ignore;
       start_event = None;
       established = not params.handshake;
@@ -497,7 +521,7 @@ let create ~net ~src ~dst ?(params = default_params) ?(start_at = 0.0) () =
   in
   t.timeout_thunk <-
     (fun () ->
-      t.timer <- None;
+      t.timer <- no_timer;
       on_timeout t);
   t.persist_thunk <-
     (fun () ->
@@ -577,11 +601,11 @@ let capture t =
     s_sb = Scoreboard.capture t.sb;
     s_rto = Rto.capture t.rto;
     s_receiver = Receiver.capture t.receiver;
-    s_cwnd = t.cwnd;
-    s_ssthresh = t.ssthresh;
+    s_cwnd = t.w.cwnd;
+    s_ssthresh = t.w.ssthresh;
     s_in_recovery = t.in_recovery;
     s_recover_point = t.recover_point;
-    s_timer = t.timer;
+    s_timer = (if t.timer = no_timer then None else Some t.timer);
     s_start_event = t.start_event;
     s_cwnd_avg = Stats.Time_avg.capture t.cwnd_avg;
     s_rtt = Stats.Welford.capture !(t.rtt);
@@ -610,11 +634,11 @@ let restore t st =
   Scoreboard.restore t.sb st.s_sb;
   Rto.restore t.rto st.s_rto;
   Receiver.restore t.receiver st.s_receiver;
-  t.cwnd <- st.s_cwnd;
-  t.ssthresh <- st.s_ssthresh;
+  t.w.cwnd <- st.s_cwnd;
+  t.w.ssthresh <- st.s_ssthresh;
   t.in_recovery <- st.s_in_recovery;
   t.recover_point <- st.s_recover_point;
-  t.timer <- st.s_timer;
+  t.timer <- Option.value st.s_timer ~default:no_timer;
   t.start_event <- st.s_start_event;
   t.established <- st.s_established;
   t.syn_sent <- st.s_syn_sent;

@@ -179,6 +179,23 @@ let test_alloc_hot_clean () =
   check_count fs ~rule:"alloc-hot" 0;
   check_count fs ~rule:"hot-coverage" 0
 
+let test_alloc_hot_poly_compare_fires () =
+  let fs = run [ fx (Filename.concat "hot" "poly_firing.ml") ] in
+  check_count fs ~rule:"alloc-hot" 1;
+  match List.find_opt (fun (f : Lint.Finding.t) -> f.rule = "alloc-hot") fs with
+  | None -> Alcotest.fail "expected an alloc-hot finding"
+  | Some f ->
+      Alcotest.(check bool) "names the call and the function" true
+        (has_sub f.message "Stdlib.max" && has_sub f.message "clamp")
+
+let test_alloc_hot_poly_compare_waived () =
+  let fs = run [ fx (Filename.concat "hot" "poly_waived.ml") ] in
+  check_count fs ~rule:"alloc-hot" 0
+
+let test_alloc_hot_poly_compare_clean () =
+  let fs = run [ fx (Filename.concat "hot" "poly_clean.ml") ] in
+  check_count fs ~rule:"alloc-hot" 0
+
 let test_hot_coverage_rejects_unknown_name () =
   let fs = run [ fx (Filename.concat "hot" "coverage_bad.ml") ] in
   check_count fs ~rule:"hot-coverage" 1;
@@ -473,6 +490,12 @@ let () =
           Alcotest.test_case "alloc-hot waived" `Quick
             test_alloc_hot_waiver_honoured;
           Alcotest.test_case "clean hot function" `Quick test_alloc_hot_clean;
+          Alcotest.test_case "alloc-hot flags polymorphic max" `Quick
+            test_alloc_hot_poly_compare_fires;
+          Alcotest.test_case "alloc-hot polymorphic max waived" `Quick
+            test_alloc_hot_poly_compare_waived;
+          Alcotest.test_case "alloc-hot explicit if clean" `Quick
+            test_alloc_hot_poly_compare_clean;
           Alcotest.test_case "hot-coverage unknown name" `Quick
             test_hot_coverage_rejects_unknown_name;
           Alcotest.test_case "annotation inventory" `Quick

@@ -387,6 +387,41 @@ let test_link_delivery_timing () =
   | _ -> Alcotest.fail "expected one delivery");
   check_float "service time" 0.001 (Net.Link.service_time link 1000)
 
+(* Allocation gate: one link hop — send, tx completion event, delivery
+   event, release back to the pool — allocates nothing.  The packets
+   are acquired before the measured window, so only the hop itself is
+   counted.  Like the scheduler gate in test_sim.ml, this holds in the
+   release profile that dune-workspace selects, not under -opaque. *)
+let test_link_hop_alloc_free () =
+  let sched = Sim.Scheduler.create () in
+  let pool = Net.Packet.Pool.create () in
+  let link =
+    Net.Link.create ~sched ~rng:(Sim.Rng.create 1) ~pool ~id:"l"
+      (droptail_config ~capacity:100 ())
+      ~deliver:(fun pkt -> Net.Packet.Pool.release pool pkt)
+  in
+  let acquire n =
+    Array.init n (fun uid ->
+        Net.Packet.Pool.acquire pool ~uid ~flow:0 ~src:0
+          ~dst:(Net.Packet.Unicast 1) ~size:1000 ~payload:Net.Packet.Raw
+          ~born:0.0)
+  in
+  let hop pkt =
+    Net.Link.send link pkt;
+    while Sim.Scheduler.step sched infinity = `Fired do
+      ()
+    done
+  in
+  (* Warm up: grow the link's rings and the pool's free list to the
+     measured batch's size. *)
+  Array.iter hop (acquire 500);
+  let pkts = acquire 500 in
+  let before = Gc.minor_words () in
+  Array.iter hop pkts;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "all delivered" 1000 (Net.Link.stats link).Net.Link.delivered;
+  Alcotest.(check (float 0.0)) "minor words for 500 hops" 0.0 words
+
 let test_link_serializes () =
   let sched = Sim.Scheduler.create () in
   let arrivals = ref [] in
@@ -900,6 +935,8 @@ let () =
           Alcotest.test_case "mark copies shared packet" `Quick
             test_link_mark_copies_shared_packet;
           Alcotest.test_case "serialization" `Quick test_link_serializes;
+          Alcotest.test_case "hop allocates nothing" `Quick
+            test_link_hop_alloc_free;
           Alcotest.test_case "droptail overflow" `Quick test_link_droptail_overflow;
           Alcotest.test_case "drop hook" `Quick test_link_drop_hook;
           Alcotest.test_case "phase jitter bounded" `Quick

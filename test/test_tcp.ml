@@ -206,17 +206,30 @@ let test_sb_mark_all_lost () =
     (Tcp.Scoreboard.next_retransmit sb);
   Tcp.Scoreboard.check_invariants sb
 
-let test_sb_advance_cum_seqs_fresh_only () =
-  let sb = sb_with_sends 5 in
-  ignore (Tcp.Scoreboard.mark_sacked sb ~lo:1 ~hi:2);
-  let fresh = Tcp.Scoreboard.advance_cum_seqs sb 3 in
-  Alcotest.(check (list int)) "skips previously sacked" [ 0; 2 ] fresh
-
-let test_sb_mark_sacked_seqs () =
+let test_sb_sack_reports_new_only () =
   let sb = sb_with_sends 5 in
   ignore (Tcp.Scoreboard.mark_sacked sb ~lo:2 ~hi:3);
-  let fresh = Tcp.Scoreboard.mark_sacked_seqs sb ~lo:1 ~hi:4 in
+  let fresh = List.filter (Tcp.Scoreboard.sack sb) [ 1; 2; 3 ] in
   Alcotest.(check (list int)) "only new seqs" [ 1; 3 ] fresh
+
+(* The one-call ack path leaves the board exactly as the separate
+   advance / SACK / loss-detection calls do, and returns their losses. *)
+let test_sb_process_ack_matches_steps () =
+  let a = sb_with_sends 12 and b = sb_with_sends 12 in
+  let losses =
+    Tcp.Scoreboard.process_ack a ~cum_ack:2 ~blocks:[ (5, 7); (8, 9) ]
+      ~dupthresh:3
+  in
+  ignore (Tcp.Scoreboard.advance_cum b 2);
+  ignore (Tcp.Scoreboard.mark_sacked b ~lo:5 ~hi:7);
+  ignore (Tcp.Scoreboard.mark_sacked b ~lo:8 ~hi:9);
+  let expected = Tcp.Scoreboard.detect_losses b ~dupthresh:3 in
+  Alcotest.(check (list int)) "losses" expected losses;
+  Alcotest.(check (list int)) "loss set" [ 2; 3; 4 ] losses;
+  Alcotest.(check int) "high_ack" (Tcp.Scoreboard.high_ack b)
+    (Tcp.Scoreboard.high_ack a);
+  Alcotest.(check int) "pipe" (Tcp.Scoreboard.pipe b) (Tcp.Scoreboard.pipe a);
+  Tcp.Scoreboard.check_invariants a
 
 let test_sb_expire_rexmits () =
   let sb = sb_with_sends 8 in
@@ -745,9 +758,10 @@ let () =
           Alcotest.test_case "rexmit guards" `Quick test_sb_rexmit_guards;
           Alcotest.test_case "sack clears lost" `Quick test_sb_sack_clears_lost;
           Alcotest.test_case "mark all lost" `Quick test_sb_mark_all_lost;
-          Alcotest.test_case "advance_cum_seqs fresh only" `Quick
-            test_sb_advance_cum_seqs_fresh_only;
-          Alcotest.test_case "mark_sacked_seqs" `Quick test_sb_mark_sacked_seqs;
+          Alcotest.test_case "sack reports new only" `Quick
+            test_sb_sack_reports_new_only;
+          Alcotest.test_case "process_ack matches separate calls" `Quick
+            test_sb_process_ack_matches_steps;
           Alcotest.test_case "expire rexmits" `Quick test_sb_expire_rexmits;
           Alcotest.test_case "expire rexmits empty" `Quick
             test_sb_expire_rexmits_empty;

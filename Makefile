@@ -7,7 +7,9 @@
 # invariant smoke (a run under RLA_DEBUG_INVARIANTS=1 must stay
 # byte-identical to the uninstrumented run), and a checkpoint smoke
 # (checkpointed and restored runs must reproduce the uninterrupted
-# trace CSV and registry JSON byte-for-byte).
+# trace CSV and registry JSON byte-for-byte), and the benchmark's
+# self-test (perfbench's simulated outputs must equal its recorded
+# expected.json, so any change to the event order fails CI).
 # The workspace builds in the release profile (see dune-workspace);
 # `make dev-build` keeps the dev profile building warning-clean in its
 # own build directory, and `make ci` runs it first.
@@ -24,7 +26,7 @@ HOSTILE_DIR ?= /tmp/rla_hostile_smoke
 .PHONY: all build dev-build test lint smoke trace-smoke churn-smoke \
   invariant-smoke ckpt-smoke par-smoke meanfield-smoke hostile-smoke \
   check ci bench bench-churn bench-perf bench-scale bench-meanfield \
-  bench-hostile bench-trend clean
+  bench-hostile bench-trend bench-selftest clean
 
 all: build
 
@@ -164,7 +166,7 @@ hostile-smoke: build
 check: build test smoke
 
 ci: dev-build lint check trace-smoke churn-smoke invariant-smoke ckpt-smoke \
-  par-smoke meanfield-smoke hostile-smoke bench-trend
+  par-smoke meanfield-smoke hostile-smoke bench-trend bench-selftest
 
 bench:
 	dune exec bench/main.exe
@@ -213,6 +215,13 @@ bench-trend: build
 	dune exec bench/trend.exe -- BENCH_perf.json BENCH_perf_history.jsonl
 	dune exec bench/trend.exe -- BENCH_scale.json BENCH_scale_history.jsonl
 	dune exec bench/trend.exe -- BENCH_hostile.json BENCH_hostile_history.jsonl
+
+# The benchmark's own tests: builds perfbench/bench.exe, then checks
+# one seed's simulated outputs against perfbench/expected.json (plain
+# and traced), the k-ary probe's table, and that a perturbed expected
+# value is rejected.
+bench-selftest: build
+	python3 perfbench/test_run.py
 
 clean:
 	dune clean

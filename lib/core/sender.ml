@@ -28,6 +28,8 @@ type window = { mutable cwnd : float; mutable ssthresh : float }
    cell each time. *)
 let no_timer = -1
 
+module Itbl = Hashtbl.Make (Int)
+
 type t = {
   net : Net.Network.t;
   params : Params.t;
@@ -36,6 +38,8 @@ type t = {
   group : Net.Packet.group;
   mutable rcvrs : Rcv_state.t array;
   mutable n_active : int;
+  active_slots : int Itbl.t;
+      (* address -> slot of its active state: ack dispatch in O(1) *)
   mutable endpoints : Receiver.t list;
   rng : Sim.Rng.t;
   rto : Tcp.Rto.t;
@@ -116,17 +120,23 @@ let receiver_endpoints t = t.endpoints
 
 let now t = Net.Network.now t.net
 
-(* Slot of the active receiver at [addr], or -1.  A loop rather than
-   [Array.find_opt]: ack dispatch calls this on every ack, and the
-   closure and the [Some] would both allocate. *)
-let active_index t addr =
-  let rec go i =
-    if i >= Array.length t.rcvrs then -1
-    else
-      let r = Array.unsafe_get t.rcvrs i in
-      if Rcv_state.active r && Rcv_state.addr r = addr then i else go (i + 1)
-  in
-  go 0
+(* Slot of the first active receiver at [addr], or -1.  Ack dispatch
+   calls this on every ack, so it is a table probe, not a scan of every
+   slot: [find]/[Not_found] allocates nothing.  [index_active] rebuilds
+   the table from the slots after every membership change (create,
+   drop, join, restore); those already cost O(n), and a rebuild cannot
+   leave a stale slot behind. *)
+let active_slot t addr =
+  match Itbl.find t.active_slots addr with
+  | i -> i
+  | exception Not_found -> -1
+
+let index_active t =
+  Itbl.reset t.active_slots;
+  for i = Array.length t.rcvrs - 1 downto 0 do
+    let r = t.rcvrs.(i) in
+    if Rcv_state.active r then Itbl.replace t.active_slots (Rcv_state.addr r) i
+  done
 
 let fold_active t f init =
   Array.fold_left
@@ -313,7 +323,7 @@ let send_rexmit t seq target =
     | To_receivers addrs ->
         List.filter_map
           (fun a ->
-            match active_index t a with -1 -> None | i -> Some t.rcvrs.(i))
+            match active_slot t a with -1 -> None | i -> Some t.rcvrs.(i))
           addrs
   in
   (* Mark the retransmission only on boards that still consider the
@@ -614,7 +624,7 @@ let on_ack t r ~cum_ack ~blocks ~echo ~ece =
    from the remaining active scoreboards so the acked-by-all frontier
    can move past the dropped receiver's holes. *)
 let drop_receiver t addr =
-  match active_index t addr with
+  match active_slot t addr with
   | -1 -> false
   | i ->
       let victim = t.rcvrs.(i) in
@@ -622,6 +632,7 @@ let drop_receiver t addr =
         invalid_arg "Sender.drop_receiver: cannot drop the last receiver";
       Rcv_state.deactivate victim;
       t.n_active <- t.n_active - 1;
+      index_active t;
       (* Recompute coverage over the survivors; grow the window for
          packets this completes (rule 4 still applies to them). *)
       let seqs = Hashtbl.fold (fun seq _ acc -> seq :: acc) t.coverage [] in
@@ -666,7 +677,7 @@ let drop_receiver t addr =
    dropped earlier reuses its slot with fresh state (fresh scoreboard,
    srtt, signal history). *)
 let add_receiver t addr =
-  if active_index t addr >= 0 then false
+  if active_slot t addr >= 0 then false
   else begin
       if addr = t.src then
         invalid_arg "Sender.add_receiver: source cannot join its own group";
@@ -692,6 +703,7 @@ let add_receiver t addr =
           t.rcvrs <- Array.append t.rcvrs [| state |];
           t.meas_signals_per <- Array.append t.meas_signals_per [| 0 |]);
       t.n_active <- t.n_active + 1;
+      index_active t;
       (* Outstanding packets predate the join; the newcomer's board
          already counts them delivered (seq < its high_ack), so their
          coverage counts grow by one to keep the [covered >= n_active]
@@ -804,6 +816,7 @@ let create ~net ~src ~receivers ?(params = Params.default) ?(start_at = 0.0)
                Rcv_state.create ~addr ~params ~session_start:start ())
              receivers);
       n_active = List.length receivers;
+      active_slots = Itbl.create (List.length receivers);
       endpoints;
       rng = Net.Network.fork_rng net;
       rto = Tcp.Rto.create ~min_rto:params.Params.min_rto ();
@@ -851,6 +864,7 @@ let create ~net ~src ~receivers ?(params = Params.default) ?(start_at = 0.0)
       taps = None;
     }
   in
+  index_active t;
   recompute_min_ack t;
   recompute_pipes t;
   t.timeout_thunk <-
@@ -879,7 +893,7 @@ let create ~net ~src ~receivers ?(params = Params.default) ?(start_at = 0.0)
           (* Dispatch to the *active* state for that address: after a
              drop + re-join the array holds the stale entry too, and
              acks must reach the live one. *)
-          match active_index t rcvr with
+          match active_slot t rcvr with
           | -1 -> ()
           | i -> on_ack t t.rcvrs.(i) ~cum_ack ~blocks ~echo ~ece)
       | _ -> ());
@@ -1009,6 +1023,7 @@ let restore t st =
          (List.length t.endpoints));
   List.iteri (fun i s -> Rcv_state.restore t.rcvrs.(i) s) st.s_rcvrs;
   t.n_active <- st.s_n_active;
+  index_active t;
   List.iter2 Receiver.restore t.endpoints st.s_endpoints;
   Sim.Rng.set_state t.rng st.s_rng;
   Tcp.Rto.restore t.rto st.s_rto;

@@ -80,6 +80,12 @@ val drop_receiver : t -> Net.Packet.addr -> bool
     address; raises [Invalid_argument] when it would drop the last
     active receiver. *)
 
+val active_slot : t -> Net.Packet.addr -> int
+(** Slot of the active receiver state at this address (the index into
+    {!signals_per_receiver}), or [-1] when the address is not an active
+    member.  This is the lookup that dispatches every acknowledgment;
+    it costs O(1) at any receiver count. *)
+
 val active_receivers : t -> Net.Packet.addr list
 
 val cwnd : t -> float

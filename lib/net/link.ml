@@ -22,9 +22,10 @@ type stats = {
    Event closures are shared, not per-packet: the link is strictly FIFO
    (the delivery clamp in [propagate] plus in-order event ids), so the
    next tx completion always concerns [in_service] and the next
-   delivery always concerns the front of the [wire] ring.  One
-   [tx_thunk] and one [deliver_thunk] per link replace a closure (and a
-   ref cell) per packet.
+   delivery always concerns the front of the [wire_pkts] ring.  One
+   [tx_thunk] and one delivery lane per link replace a closure (and a
+   ref cell) per packet; the lane also keeps all but the front delivery
+   out of the scheduler's heap.
 
    The per-packet path allocates nothing: "nothing in service" and "no
    tx event" are sentinels (the pool's dummy packet, id -1) rather than
@@ -46,13 +47,11 @@ type t = {
   disc : Queue_disc.t;
   buffer : Packet.t Ring.t;
   deliver : Packet.t -> unit;
-  (* Packets past serialization in delivery order, with their delivery
-     event ids (ascending), so a checkpoint can re-arm every delivery
-     still on the wire. *)
-  wire_ids : int Ring.t;
+  (* Packets past serialization in delivery order; [wire] holds their
+     delivery events, one per packet, in the same order. *)
+  wire : Sim.Scheduler.Lane.t;
   wire_pkts : Packet.t Ring.t;
   mutable tx_thunk : unit -> unit;
-  mutable deliver_thunk : unit -> unit;
   mutable busy : bool;
   mutable in_service : Packet.t;  (* [no_packet] when idle *)
   mutable tx_event : Sim.Scheduler.event_id;  (* [no_event] when idle *)
@@ -85,6 +84,8 @@ let id t = t.id
 let config t = t.config
 
 let qlen t = Ring.length t.buffer
+
+let in_flight t = Ring.length t.wire_pkts
 
 let busy t = t.busy
 
@@ -144,7 +145,6 @@ let[@inline never] empty_wire t =
 
 let deliver_front t =
   if Ring.is_empty t.wire_pkts then empty_wire t;
-  ignore (Ring.take t.wire_ids : int);
   t.deliver (Ring.take t.wire_pkts)
 
 let[@inline never] check_fifo t ~at =
@@ -169,8 +169,7 @@ let propagate t pkt =
   let at = if earliest >= last then earliest else last in
   if !Sim.Invariant.enabled then check_fifo t ~at;
   t.times.last_delivery <- at;
-  let eid = Sim.Scheduler.schedule_at t.sched at t.deliver_thunk in
-  Ring.push t.wire_ids eid;
+  Sim.Scheduler.Lane.push t.wire at;
   Ring.push t.wire_pkts pkt
 
 let[@inline never] nothing_in_service t =
@@ -218,10 +217,9 @@ let create ~sched ~rng ~pool ~id config ~deliver =
       disc = Queue_disc.create config.queue ~capacity:config.capacity ~rng;
       buffer = Ring.create ~dummy:Packet.Pool.dummy_pkt;
       deliver;
-      wire_ids = Ring.create ~dummy:(-1);
+      wire = Sim.Scheduler.Lane.create sched;
       wire_pkts = Ring.create ~dummy:Packet.Pool.dummy_pkt;
       tx_thunk = ignore;
-      deliver_thunk = ignore;
       busy = false;
       in_service = no_packet;
       tx_event = no_event;
@@ -237,7 +235,7 @@ let create ~sched ~rng ~pool ~id config ~deliver =
     }
   in
   t.tx_thunk <- (fun () -> complete_tx t);
-  t.deliver_thunk <- (fun () -> deliver_front t);
+  Sim.Scheduler.Lane.set_action t.wire (fun () -> deliver_front t);
   t
 
 let set_registry t reg =
@@ -411,7 +409,7 @@ let capture t =
   let wire =
     List.map2
       (fun id pkt -> (id, snapshot_pkt pkt))
-      (Ring.capture t.wire_ids)
+      (Sim.Scheduler.Lane.ids t.wire)
       (Ring.capture t.wire_pkts)
   in
   {
@@ -461,11 +459,8 @@ let restore t st =
         (Printf.sprintf "Link.restore: %s: tx event %d with nothing in service"
            t.id id)
   | None, _ -> ());
-  Ring.restore t.wire_ids (List.map fst st.s_inflight);
   Ring.restore t.wire_pkts (List.map (fun (_, p) -> snapshot_pkt p) st.s_inflight);
-  List.iter
-    (fun (id, _) -> Sim.Scheduler.rearm t.sched ~id t.deliver_thunk)
-    st.s_inflight;
+  List.iter (fun (id, _) -> Sim.Scheduler.Lane.rearm t.wire ~id) st.s_inflight;
   t.up <- st.s_up;
   t.times.down_since <- st.s_down_since;
   t.times.downtime_acc <- st.s_downtime_acc;

@@ -65,6 +65,10 @@ val config : t -> config
 val qlen : t -> int
 (** Packets currently waiting (excludes the one in service). *)
 
+val in_flight : t -> int
+(** Packets past serialization, propagating to the far end; each has a
+    pending delivery event. *)
+
 val busy : t -> bool
 
 val stats : t -> stats

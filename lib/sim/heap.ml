@@ -121,14 +121,16 @@ let[@inline] add t ~prio value =
   t.next_seq <- seq + 1;
   push t ~prio ~seq value
 
-(* Restore path: re-insert an element under its original tie-break
-   counter so that a restored heap pops in exactly the original order.
-   The caller owns seq uniqueness; [next_seq] is left untouched. *)
-let add_with_seq t ~prio ~seq value = push t ~prio ~seq value
+(* Insert under a caller-chosen tie-break counter: the scheduler keys
+   every entry by its event id, and a restored heap re-inserts under
+   the original counters to pop in exactly the original order.  The
+   caller owns seq uniqueness; [next_seq] is left untouched.  [@inline]
+   for the same reason as [add]. *)
+(* lint: hot add_with_seq -- every scheduled event and every delivery
+   lane head; must not box the priority *)
+let[@inline] add_with_seq t ~prio ~seq value = push t ~prio ~seq value
 
 let next_seq t = t.next_seq
-
-let set_next_seq t n = t.next_seq <- n
 
 let capture t =
   let xs = ref [] in
@@ -228,6 +230,52 @@ let pop t =
     let prio = t.prios.(0) in
     Some (prio, pop_top t)
   end
+
+(* Drop every entry whose seq fails [keep env], then restore the heap
+   property bottom-up (Floyd): O(n) for the filter and the rebuild
+   together.  The survivors' (prio, seq) keys are untouched, so they pop
+   in the same total order as before.  [keep] and [env] are separate
+   arguments so that a caller can pass a top-level function and its
+   state without building a closure per call; nothing here allocates. *)
+let filter_seq t keep env =
+  let n = t.size in
+  let j = ref 0 in
+  for i = 0 to n - 1 do
+    let s = Array.unsafe_get t.seqs i in
+    if keep env s then begin
+      let k = !j in
+      if k < i then begin
+        Array.unsafe_set t.prios k (Array.unsafe_get t.prios i);
+        Array.unsafe_set t.seqs k s;
+        Array.unsafe_set t.vals k (Array.unsafe_get t.vals i)
+      end;
+      j := k + 1
+    end
+  done;
+  let live = !j in
+  for i = live to n - 1 do
+    Array.unsafe_set t.vals i dummy
+  done;
+  t.size <- live;
+  for i = (live / 2) - 1 downto 0 do
+    let p = Array.unsafe_get t.prios i in
+    let s = Array.unsafe_get t.seqs i in
+    let v = Array.unsafe_get t.vals i in
+    let k = sift_down_hole t ~prio:p ~seq:s i in
+    Array.unsafe_set t.prios k p;
+    Array.unsafe_set t.seqs k s;
+    Array.unsafe_set t.vals k v
+  done
+
+(* Least seq among the entries whose seq passes [keep env], or
+   [max_int]; allocation-free under the same terms as [filter_seq]. *)
+let min_seq t keep env =
+  let m = ref max_int in
+  for i = 0 to t.size - 1 do
+    let s = Array.unsafe_get t.seqs i in
+    if s < !m && keep env s then m := s
+  done;
+  !m
 
 let iter t ~f =
   for i = 0 to t.size - 1 do

@@ -47,10 +47,7 @@ val pop_top : 'a t -> 'a
     Raises [Invalid_argument] on an empty heap. *)
 
 val pop_entry : 'a t -> (float * int * 'a) option
-(** Like {!pop} but also returns the element's tie-break counter.  The
-    scheduler relies on this: its event ids advance in lockstep with
-    the heap counter, so the counter of a popped event {e is} its id
-    and no per-event id record needs allocating. *)
+(** Like {!pop} but also returns the element's tie-break counter. *)
 
 val peek : 'a t -> (float * 'a) option
 (** Return the minimum element without removing it. *)
@@ -60,15 +57,22 @@ val clear : 'a t -> unit
 
 val add_with_seq : 'a t -> prio:float -> seq:int -> 'a -> unit
 (** [add_with_seq t ~prio ~seq x] inserts [x] under an explicit
-    tie-break counter instead of the internal one, so a restored heap
-    reproduces the original pop order exactly.  The caller guarantees
-    [seq] uniqueness; the internal counter is not advanced. *)
+    tie-break counter instead of the internal one.  The scheduler keys
+    every entry by its event id this way, so the counter of a popped
+    event {e is} its id, and a restored heap reproduces the original
+    pop order exactly.  The caller guarantees [seq] uniqueness; the
+    internal counter is not advanced.  Allocates nothing beyond
+    amortized growth. *)
+
+val filter_seq : 'a t -> ('e -> int -> bool) -> 'e -> unit
+(** [filter_seq t keep env] removes every element whose tie-break
+    counter [s] fails [keep env s] and rebuilds the heap in place in
+    O(n).  The survivors keep their keys, so they pop in the same order
+    as before.  Vacated slots are overwritten, and the call allocates
+    nothing when [keep] is a top-level function. *)
 
 val next_seq : 'a t -> int
 (** Value the internal tie-break counter will assign next. *)
-
-val set_next_seq : 'a t -> int -> unit
-(** Overwrite the internal tie-break counter (checkpoint restore). *)
 
 val capture : 'a t -> (float * int * 'a) list
 (** All elements as [(prio, seq, value)] sorted in pop order.  Pure
@@ -78,6 +82,11 @@ val restore : 'a t -> next_seq:int -> (float * int * 'a) list -> unit
 (** Replace the contents with the captured elements (under their
     original tie-break counters) and set the internal counter, making
     subsequent pops byte-identical to the captured heap's. *)
+
+val min_seq : 'a t -> ('e -> int -> bool) -> 'e -> int
+(** [min_seq t keep env] is the least tie-break counter [s] in the heap
+    with [keep env s], or [max_int] if there is none.  O(n); allocates
+    nothing when [keep] is a top-level function. *)
 
 val iter : 'a t -> f:(float -> 'a -> unit) -> unit
 (** Iterate over all elements in unspecified order. *)

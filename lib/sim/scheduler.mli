@@ -29,7 +29,11 @@ val schedule_after : t -> float -> (unit -> unit) -> event_id
 val cancel : t -> event_id -> unit
 (** Cancel a pending event.  Cancelling an event that already fired,
     was already cancelled, or never existed is a strict no-op: it
-    neither perturbs {!pending} nor affects any other event. *)
+    neither perturbs {!pending} nor affects any other event.  A
+    cancelled event stays in the heap until it is popped or until
+    cancelled entries exceed a quarter of the heap, when they are all
+    filtered out in one O(n) pass.  Lane entries ({!Lane.push}) have no
+    handle and cannot be cancelled. *)
 
 val step : t -> float -> [ `Fired | `Skipped | `Done ]
 (** Pop one event at or before the horizon: [`Fired] executed it,
@@ -46,7 +50,12 @@ val run_until_empty : t -> max_events:int -> unit
 (** Run until no events remain or [max_events] have fired. *)
 
 val pending : t -> int
-(** Number of pending (non-cancelled) events. *)
+(** Number of pending (non-cancelled) events, lane entries included. *)
+
+val heap_length : t -> int
+(** Entries in the event heap: every pending event that is not queued
+    behind a lane's head, plus cancelled entries not yet discarded.
+    Read-only; for depth probes and tests. *)
 
 val set_registry : t -> Obs.Registry.t option -> unit
 (** Install (or remove, with [None]) a metrics registry.  With one
@@ -63,11 +72,12 @@ val events_fired : t -> int
 
     Closures cannot be serialized, so a checkpoint stores only the
     scheduler scalars plus the (id, fire-time) pairs of pending events.
-    [restore] empties the queue and parks those pairs; each component
-    that owns an event then calls {!rearm} to re-attach its closure
-    under the original id, which reproduces the original pop order
-    byte-for-byte (tie-break counters equal event ids).  {!unrestored}
-    must be empty before the simulation is resumed. *)
+    [restore] empties the queue and every lane and parks those pairs;
+    each component that owns an event then calls {!rearm} (or
+    {!Lane.rearm}) to re-attach it under the original id, which
+    reproduces the original pop order byte-for-byte (tie-break counters
+    equal event ids).  {!unrestored} must be empty before the simulation
+    is resumed. *)
 
 type state = {
   s_clock : float;
@@ -77,8 +87,8 @@ type state = {
 }
 
 val capture : t -> state
-(** Pure read of the complete scheduler state; cancelled events are
-    excluded (skipping them is side-effect-free). *)
+(** Pure read of the complete scheduler state, lane entries included;
+    cancelled events are excluded (skipping them is side-effect-free). *)
 
 val restore : t -> state -> unit
 (** Reset the scheduler to [state] with an empty queue; every pending
@@ -94,3 +104,48 @@ val unrestored : t -> event_id list
 (** Restored pending ids not yet re-armed, ascending.  Non-empty after
     the components' re-arm pass means the checkpoint recorded an event
     no component claims — the caller must fail rather than resume. *)
+
+(** {1 Delivery lanes}
+
+    A lane is a FIFO of events that share one action and fire in the
+    order they were pushed: a link's deliveries.  Only the lane's front
+    entry sits in the heap; when it fires, the next one enters the heap
+    under its own event id.  Pop order, event ids and {!pending} are
+    exactly as if every entry had been scheduled with {!schedule_at},
+    but the heap holds one entry per non-empty lane instead of one per
+    packet on a wire. *)
+
+module Lane : sig
+  type sched := t
+
+  type t
+
+  val create : sched -> t
+  (** A new, empty lane of the scheduler, whose action is [ignore]
+      until {!set_action}. *)
+
+  val set_action : t -> (unit -> unit) -> unit
+  (** The action every entry of the lane runs when it fires. *)
+
+  val push : t -> float -> unit
+  (** [push l time] schedules the lane's action at absolute [time]
+      under the next event id.  [time] must be finite, not in the past,
+      and no earlier than the lane's last entry, or [Invalid_argument]
+      is raised.  No handle is returned: lane entries cannot be
+      cancelled.  Allocates nothing beyond amortized growth. *)
+
+  val fire : t -> unit
+  (** The heap action of the lane's front entry: retire it, move the
+      next entry into the heap, run the lane's action.  The scheduler
+      calls it when the front entry fires; calling it from anywhere
+      else breaks the lane. *)
+
+  val ids : t -> event_id list
+  (** Event ids of the pending entries, front first (ascending). *)
+
+  val rearm : t -> id:event_id -> unit
+  (** [rearm l ~id] re-attaches restored pending event [id] to the back
+      of the lane at its captured fire time.  Entries must be re-armed
+      front first.  Raises [Invalid_argument] if [id] is not awaiting
+      restore or does not follow the lane's last entry. *)
+end

@@ -567,6 +567,63 @@ let test_sender_deterministic_replay () =
   in
   Alcotest.(check bool) "same seed, same run" true (run () = run ())
 
+(* Ack dispatch finds the active receiver through a table keyed by
+   address.  Random drops and joins on an 8-leaf star (re-joining a
+   dropped address reuses its slot, a new address appends one) must
+   keep every lookup equal to a linear scan of the slots: the first
+   slot holding the address whose receiver is active.  Slot addresses
+   come from [signals_per_receiver]; the leaves are distinct, so a slot
+   is active iff its address is in [active_receivers].  Acks keep
+   flowing between operations, so dispatch runs against every state. *)
+let prop_active_slot_matches_scan =
+  QCheck.Test.make ~name:"active_slot = linear scan under drop/re-join"
+    ~count:60
+    QCheck.(list_of_size Gen.(1 -- 25) (pair bool (int_bound 7)))
+    (fun ops ->
+      let net = Net.Network.create ~seed:3 () in
+      let src = Net.Node.id (Net.Network.add_node net) in
+      let leaves =
+        List.init 8 (fun _ -> Net.Node.id (Net.Network.add_node net))
+      in
+      let cfg =
+        {
+          Net.Link.bandwidth_bps = 10e6;
+          prop_delay = 0.005;
+          queue = Net.Queue_disc.Droptail;
+          capacity = 50;
+          phase_jitter = false;
+        }
+      in
+      List.iter (fun l -> ignore (Net.Network.duplex net src l cfg)) leaves;
+      Net.Network.install_routes net;
+      let receivers = List.filteri (fun i _ -> i < 4) leaves in
+      let rla = Rla.Sender.create ~net ~src ~receivers () in
+      let scan addr =
+        let active = Rla.Sender.active_receivers rla in
+        let rec go i = function
+          | [] -> -1
+          | (a, _) :: rest ->
+              if a = addr && List.mem a active then i else go (i + 1) rest
+        in
+        go 0 (Rla.Sender.signals_per_receiver rla)
+      in
+      let agree () =
+        List.for_all
+          (fun a -> Rla.Sender.active_slot rla a = scan a)
+          (src :: 999 :: leaves)
+      in
+      let t = ref 0.0 in
+      List.for_all
+        (fun (join, k) ->
+          let addr = List.nth leaves k in
+          if join then ignore (Rla.Sender.add_receiver rla addr : bool)
+          else if List.length (Rla.Sender.active_receivers rla) > 1 then
+            ignore (Rla.Sender.drop_receiver rla addr : bool);
+          t := !t +. 0.05;
+          Net.Network.run_until net !t;
+          agree ())
+        ops)
+
 let () =
   Alcotest.run "rla"
     [
@@ -643,5 +700,6 @@ let () =
             test_join_after_drop_same_address;
           Alcotest.test_case "pthresh tracks membership" `Quick
             test_pthresh_tracks_membership;
+          QCheck_alcotest.to_alcotest prop_active_slot_matches_scan;
         ] );
     ]

@@ -569,6 +569,228 @@ let prop_sched_cancel_survivors =
       && Sim.Scheduler.pending s = 0
       && Sim.Scheduler.events_fired s = List.length expected)
 
+(* Differential test against a reference model that keeps every
+   pending (time, id) pair in a plain list and fires the least.  Random
+   [schedule_at] / [cancel] / lane-push / fire / [run_until] sequences
+   run on integer times, so equal-time ties between lanes and plain
+   events are common, and cancels pile up past the compaction
+   threshold.  Fire order, [pending] and [events_fired] must match the
+   model after every operation.  At a random point the scheduler is
+   captured (the capture must list exactly the model's pending pairs),
+   restored into a second scheduler whose events and lanes are re-armed,
+   and captured again (identical); both schedulers then run the rest of
+   the sequence and must both follow the model. *)
+type sched_op =
+  | Sched of int  (* schedule_at now + k *)
+  | Cancel of int
+      (* cancel one of the last 16 ids handed out (most still pending,
+         some fired or cancelled already) *)
+  | Push of int * int  (* lane l at now + k, clamped to the lane's last *)
+  | Fire of int  (* fire up to n live events *)
+  | Run of int  (* run_until now + k *)
+
+let show_sched_op = function
+  | Sched k -> Printf.sprintf "Sched %d" k
+  | Cancel n -> Printf.sprintf "Cancel %d" n
+  | Push (l, k) -> Printf.sprintf "Push (%d, %d)" l k
+  | Fire n -> Printf.sprintf "Fire %d" n
+  | Run k -> Printf.sprintf "Run %d" k
+
+let n_lanes = 3
+
+let arb_sched_run =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (3, map (fun k -> Sched k) (0 -- 4));
+        (4, map (fun k -> Sched k) (0 -- 200));
+        (4, map (fun n -> Cancel n) (0 -- 1000));
+        (3, map2 (fun l k -> Push (l, k)) (0 -- (n_lanes - 1)) (0 -- 3));
+        (1, map (fun n -> Fire n) (1 -- 4));
+        (1, map (fun k -> Run k) (0 -- 1));
+      ]
+  in
+  QCheck.make
+    ~print:(fun (ops, split) ->
+      Printf.sprintf "split %d: [%s]" split
+        (String.concat "; " (List.map show_sched_op ops)))
+    (pair (list_size (1 -- 400) op) (0 -- 1000))
+
+type model = {
+  mutable m_now : float;
+  mutable m_pending : (float * int) list;
+  mutable m_next : int;
+  mutable m_issued : int list;  (* plain-event ids, newest first *)
+  m_lane_last : float array;
+  mutable m_fired : int list;  (* newest first *)
+}
+
+let model_fire_next m =
+  match m.m_pending with
+  | [] -> false
+  | first :: rest ->
+      let ((time, id) as next) =
+        List.fold_left (fun a b -> if compare b a < 0 then b else a) first rest
+      in
+      m.m_pending <- List.filter (fun p -> p <> next) m.m_pending;
+      m.m_now <- time;
+      m.m_fired <- id :: m.m_fired;
+      true
+
+(* A scheduler under test: its lanes, the ids each lane will deliver
+   (front first) and the ids it fired, newest first. *)
+type harness = {
+  s : Sim.Scheduler.t;
+  lanes : Sim.Scheduler.Lane.t array;
+  lane_ids : int Queue.t array;
+  log : int list ref;
+}
+
+let make_harness () =
+  let s = Sim.Scheduler.create () in
+  let log = ref [] in
+  let lane_ids = Array.init n_lanes (fun _ -> Queue.create ()) in
+  let lanes =
+    Array.init n_lanes (fun l ->
+        let lane = Sim.Scheduler.Lane.create s in
+        Sim.Scheduler.Lane.set_action lane (fun () ->
+            log := Queue.pop lane_ids.(l) :: !log);
+        lane)
+  in
+  { s; lanes; lane_ids; log }
+
+let log_id h id () = h.log := id :: !(h.log)
+
+let apply_op m hs op =
+  match op with
+  | Sched k ->
+      let time = m.m_now +. float_of_int k and id = m.m_next in
+      m.m_next <- id + 1;
+      m.m_pending <- (time, id) :: m.m_pending;
+      m.m_issued <- id :: m.m_issued;
+      List.for_all
+        (fun h -> Sim.Scheduler.schedule_at h.s time (log_id h id) = id)
+        hs
+  | Cancel n ->
+      (match m.m_issued with
+      | [] -> ()
+      | issued ->
+          let id = List.nth issued (n mod Stdlib.min 16 (List.length issued)) in
+          m.m_pending <- List.filter (fun (_, i) -> i <> id) m.m_pending;
+          List.iter (fun h -> Sim.Scheduler.cancel h.s id) hs);
+      true
+  | Push (l, k) ->
+      let earliest = m.m_now +. float_of_int k in
+      let time = Float.max earliest m.m_lane_last.(l) and id = m.m_next in
+      m.m_next <- id + 1;
+      m.m_lane_last.(l) <- time;
+      m.m_pending <- (time, id) :: m.m_pending;
+      List.iter
+        (fun h ->
+          Sim.Scheduler.Lane.push h.lanes.(l) time;
+          Queue.push id h.lane_ids.(l))
+        hs;
+      true
+  | Fire n ->
+      for _ = 1 to n do
+        ignore (model_fire_next m : bool)
+      done;
+      List.iter
+        (fun h ->
+          let live = ref n in
+          while !live > 0 do
+            match Sim.Scheduler.step h.s infinity with
+            | `Fired -> decr live
+            | `Skipped -> ()
+            | `Done -> live := 0
+          done)
+        hs;
+      true
+  | Run k ->
+      let horizon = m.m_now +. float_of_int k in
+      let rec drain () =
+        if List.exists (fun (time, _) -> time <= horizon) m.m_pending then begin
+          ignore (model_fire_next m : bool);
+          drain ()
+        end
+      in
+      drain ();
+      m.m_now <- horizon;
+      List.iter (fun h -> Sim.Scheduler.run_until h.s horizon) hs;
+      true
+
+(* [h] fired the model's events from the [skip]-th on. *)
+let agrees m ~skip h =
+  let fired = List.length m.m_fired in
+  List.rev !(h.log) = List.filteri (fun i _ -> i >= skip) (List.rev m.m_fired)
+  && Sim.Scheduler.pending h.s = List.length m.m_pending
+  && Sim.Scheduler.events_fired h.s = fired
+  && Sim.Scheduler.now h.s = m.m_now
+
+let restore_into (a : harness) =
+  let st = Sim.Scheduler.capture a.s in
+  let b = make_harness () in
+  Sim.Scheduler.restore b.s st;
+  let in_lane id =
+    Array.exists (fun q -> List.mem id (List.of_seq (Queue.to_seq q))) a.lane_ids
+  in
+  List.iter
+    (fun (id, _) ->
+      if not (in_lane id) then Sim.Scheduler.rearm b.s ~id (log_id b id))
+    st.Sim.Scheduler.s_pending;
+  Array.iteri
+    (fun l q ->
+      Queue.iter
+        (fun id ->
+          Sim.Scheduler.Lane.rearm b.lanes.(l) ~id;
+          Queue.push id b.lane_ids.(l))
+        q)
+    a.lane_ids;
+  (st, b)
+
+let prop_sched_differential =
+  QCheck.Test.make ~name:"scheduler = sorted-pairs model, across restore"
+    ~count:300 arb_sched_run (fun (ops, split) ->
+      let m =
+        {
+          m_now = 0.0;
+          m_pending = [];
+          m_next = 0;
+          m_issued = [];
+          m_lane_last = Array.make n_lanes 0.0;
+          m_fired = [];
+        }
+      in
+      let a = make_harness () in
+      let split = split mod (List.length ops + 1) in
+      let before = List.filteri (fun i _ -> i < split) ops
+      and after = List.filteri (fun i _ -> i >= split) ops in
+      let run hs ops ~skip =
+        List.for_all
+          (fun op ->
+            apply_op m hs op
+            && List.for_all2 (fun h skip -> agrees m ~skip h) hs skip)
+          ops
+      in
+      run [ a ] before ~skip:[ 0 ]
+      &&
+      let st, b = restore_into a in
+      let lane_ids_ok =
+        Array.for_all2
+          (fun lane q ->
+            Sim.Scheduler.Lane.ids lane = List.of_seq (Queue.to_seq q))
+          a.lanes a.lane_ids
+      in
+      lane_ids_ok
+      && st.Sim.Scheduler.s_pending
+         = List.sort compare
+             (List.map (fun (time, id) -> (id, time)) m.m_pending)
+      && Sim.Scheduler.unrestored b.s = []
+      && Sim.Scheduler.capture b.s = st
+      && run [ a; b ] after ~skip:[ 0; List.length m.m_fired ]
+      && Sim.Scheduler.capture a.s = Sim.Scheduler.capture b.s)
+
 (* ------------------------------------------------------------------ *)
 (* Trace                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -668,6 +890,87 @@ let test_sched_alloc_free () =
   Alcotest.(check int) "events fired" 2000 !fired;
   Alcotest.(check (float 0.0)) "minor words for 1000 schedule+step" 0.0 words
 
+(* The pending bits live in a window that slides up to the least
+   pending id.  A long-lived event issued first (id 0) and a timer
+   issued second must keep their bits across 200k later ids: the
+   window has to grow around them rather than slide past them.  The
+   timer is cancelled after all the churn, and the long-lived event
+   still fires last, exactly once. *)
+let test_sched_pending_window () =
+  let s = Sim.Scheduler.create () in
+  let long_fired = ref 0 and timer_fired = ref 0 and short_fired = ref 0 in
+  ignore
+    (Sim.Scheduler.schedule_at s 1e6 (fun () -> incr long_fired)
+      : Sim.Scheduler.event_id);
+  let timer = Sim.Scheduler.schedule_at s 1e5 (fun () -> incr timer_fired) in
+  let rto = ref (-1) in
+  for _ = 1 to 100_000 do
+    Sim.Scheduler.cancel s !rto;
+    rto := Sim.Scheduler.schedule_after s 1.0 (fun () -> ());
+    ignore
+      (Sim.Scheduler.schedule_after s 0.0001 (fun () -> incr short_fired)
+        : Sim.Scheduler.event_id);
+    Sim.Scheduler.run_until s (Sim.Scheduler.now s +. 0.0001)
+  done;
+  Alcotest.(check int) "short events fired" 100_000 !short_fired;
+  Alcotest.(check int) "long, timer and rto pending" 3
+    (Sim.Scheduler.pending s);
+  Sim.Scheduler.cancel s timer;
+  Alcotest.(check int) "timer cancelled" 2 (Sim.Scheduler.pending s);
+  Sim.Scheduler.run_until_empty s ~max_events:10;
+  Alcotest.(check int) "timer never fires" 0 !timer_fired;
+  Alcotest.(check int) "long event fires once" 1 !long_fired;
+  check_float "long event fires last" 1e6 (Sim.Scheduler.now s);
+  Alcotest.(check int) "nothing pending" 0 (Sim.Scheduler.pending s)
+
+(* Allocation and depth gate for timer churn: [nflows] retransmission
+   timers, one of which is cancelled and re-armed on every ack, as TCP
+   and RLA senders do.  Each cancel leaves a dead heap entry for about
+   one RTO, so without compaction the heap would hold ~1000 of them.
+   Over 10k steady-state acks (many compactions included) nothing is
+   allocated, and the heap never exceeds the live events by more than
+   the compaction threshold (a quarter of the heap, or 32 entries).
+   The pending-bit window slides several times in the measured span;
+   sliding allocates nothing either. *)
+let test_sched_cancel_churn () =
+  let s = Sim.Scheduler.create () in
+  let nflows = 64 in
+  let timers = Array.make nflows (-1) in
+  let timeouts = ref 0 in
+  let timeout () = incr timeouts in
+  let acks = ref 0 in
+  let rec ack () =
+    let i = !acks mod nflows in
+    incr acks;
+    Sim.Scheduler.cancel s timers.(i);
+    timers.(i) <- Sim.Scheduler.schedule_after s 1.0 timeout;
+    ignore (Sim.Scheduler.schedule_after s 0.001 ack : Sim.Scheduler.event_id)
+  in
+  for i = 0 to nflows - 1 do
+    timers.(i) <- Sim.Scheduler.schedule_after s 1.0 timeout
+  done;
+  ignore (Sim.Scheduler.schedule_after s 0.001 ack : Sim.Scheduler.event_id);
+  let worst_excess = ref 0 in
+  let cycle () =
+    ignore (Sim.Scheduler.step s infinity : [ `Fired | `Skipped | `Done ]);
+    let heap = Sim.Scheduler.heap_length s
+    and live = Sim.Scheduler.pending s in
+    let excess = heap - live - Stdlib.max 32 (heap / 4) in
+    if excess > !worst_excess then worst_excess := excess
+  in
+  for _ = 1 to 20_000 do
+    cycle ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    cycle ()
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "no timer fires" 0 !timeouts;
+  Alcotest.(check int) "live events" (nflows + 1) (Sim.Scheduler.pending s);
+  Alcotest.(check int) "heap within the compaction bound" 0 !worst_excess;
+  Alcotest.(check (float 0.0)) "minor words for 10k cancel+re-arm" 0.0 words
+
 let () =
   Alcotest.run "sim"
     [
@@ -725,11 +1028,16 @@ let () =
             test_sched_rejects_nonfinite;
           Alcotest.test_case "max_events ignores cancelled" `Quick
             test_sched_max_events_ignores_cancelled;
+          Alcotest.test_case "pending window keeps old ids" `Quick
+            test_sched_pending_window;
+          Alcotest.test_case "cancel churn allocates nothing" `Quick
+            test_sched_cancel_churn;
           Alcotest.test_case "schedule+step allocates nothing" `Quick
             test_sched_alloc_free;
           Alcotest.test_case "run_until_empty bounded" `Quick
             test_sched_run_until_empty_bounded;
           QCheck_alcotest.to_alcotest prop_sched_cancel_survivors;
+          QCheck_alcotest.to_alcotest prop_sched_differential;
         ] );
       ( "invariant",
         [

@@ -25,7 +25,7 @@ HOSTILE_DIR ?= /tmp/rla_hostile_smoke
 
 .PHONY: all build dev-build test lint smoke trace-smoke churn-smoke \
   invariant-smoke ckpt-smoke par-smoke meanfield-smoke hostile-smoke \
-  check ci bench bench-churn bench-perf bench-scale bench-meanfield \
+  check ci bench bench-churn bench-scale bench-meanfield \
   bench-hostile bench-trend bench-selftest clean
 
 all: build
@@ -82,8 +82,10 @@ invariant-smoke: build
 	@echo "invariant smoke OK (instrumented run byte-identical)"
 
 # Checkpoint/restore byte-identity: an uninterrupted run, a run that
-# writes checkpoints every 10 s, and a run restored from the mid-run
-# checkpoint must all dump identical trace CSV and registry JSON.
+# writes checkpoints every 10 s, and a run restored (replayed) from the
+# mid-run checkpoint must all dump identical trace CSV and registry
+# JSON.  The checkpoint (config, time, digest) must stay under 4 KB,
+# and a truncated copy of it must fail validation with exit 1.
 ckpt-smoke: build
 	@rm -rf $(CKPT_DIR) && mkdir -p $(CKPT_DIR)
 	dune exec bin/rla_trace.exe -- --scenario sharing --gateway droptail \
@@ -97,6 +99,15 @@ ckpt-smoke: build
 	@cmp $(CKPT_DIR)/plain.json $(CKPT_DIR)/ckpt.json
 	dune exec bin/rla_ckpt.exe -- validate \
 	  $(CKPT_DIR)/ckpts/case3_seed7_t000020.000.ckpt
+	@size=$$(wc -c < $(CKPT_DIR)/ckpts/case3_seed7_t000020.000.ckpt); \
+	  test $$size -lt 4096 \
+	  || { echo "ckpt-smoke: t=20 checkpoint is $$size bytes (limit 4096)"; exit 1; }
+	@head -c $$(( $$(wc -c < $(CKPT_DIR)/ckpts/case3_seed7_t000020.000.ckpt) / 2 )) \
+	  $(CKPT_DIR)/ckpts/case3_seed7_t000020.000.ckpt > $(CKPT_DIR)/truncated.ckpt
+	@dune exec bin/rla_ckpt.exe -- validate $(CKPT_DIR)/truncated.ckpt \
+	  > /dev/null 2>&1; \
+	  status=$$?; test $$status -eq 1 \
+	  || { echo "ckpt-smoke: truncated checkpoint: expected exit 1, got $$status"; exit 1; }
 	dune exec bin/rla_trace.exe -- \
 	  --restore $(CKPT_DIR)/ckpts/case3_seed7_t000020.000.ckpt \
 	  --csv $(CKPT_DIR)/restored.csv --json $(CKPT_DIR)/restored.json
@@ -175,15 +186,10 @@ bench-churn: build
 	dune exec bin/rla_sweep.exe -- --churn --cases 1,3 --seeds 2 \
 	  --duration 120 --warmup 40 --jobs 2 --json BENCH_churn.json
 
-# Runs the perf scenarios, rewrites BENCH_perf.json, and appends one
-# line to the append-only BENCH_perf_history.jsonl trend record.
-bench-perf: build
-	dune exec bench/perf.exe -- BENCH_perf.json
-
 # Sharded-scaling bench: events/s and speedup at --shards 1/2/4/8 on
 # the 10648-receiver tree, rewritten to BENCH_scale.json with one line
-# appended to BENCH_scale_history.jsonl (same trend protocol as
-# bench-perf).  RLA_BENCH_SCALE_DURATION / RLA_BENCH_SCALE_FANOUT
+# appended to BENCH_scale_history.jsonl (the trend record that
+# bench-trend gates).  RLA_BENCH_SCALE_DURATION / RLA_BENCH_SCALE_FANOUT
 # shrink it for quick local runs.
 bench-scale: build
 	dune exec bench/scale.exe -- BENCH_scale.json
@@ -207,12 +213,11 @@ bench-meanfield: build
 	dune exec bin/rla_sweep.exe -- --meanfield --jobs 2 --json BENCH_meanfield.json
 
 # Regression gate (wired into `make ci`): compares the checked-in
-# BENCH_perf.json / BENCH_scale.json against the best comparable run
+# BENCH_scale.json / BENCH_hostile.json against the best comparable run
 # (same duration/seed) in their history files and fails on a >10%
 # events/s drop.  Pure comparison — no simulation runs.  Tolerance
 # override: RLA_BENCH_TREND_TOLERANCE=0.2 make bench-trend
 bench-trend: build
-	dune exec bench/trend.exe -- BENCH_perf.json BENCH_perf_history.jsonl
 	dune exec bench/trend.exe -- BENCH_scale.json BENCH_scale_history.jsonl
 	dune exec bench/trend.exe -- BENCH_hostile.json BENCH_hostile_history.jsonl
 

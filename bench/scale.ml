@@ -3,8 +3,8 @@
 (* Sharding bench: events/s and speedup curves for the 10k-receiver
    sharded RLA scenario (Experiments.Scaling.run_sharded) at
    increasing worker-domain counts, emitted as BENCH_scale.json plus
-   one append-only line in BENCH_scale_history.jsonl — same shape and
-   trend gate as BENCH_perf (`make bench-scale`, `make bench-trend`).
+   one append-only line in BENCH_scale_history.jsonl, gated by
+   `make bench-trend` (`make bench-scale` rewrites it).
 
    The shard structure is fixed by the topology partition, so every
    row simulates the identical event sequence; the bench asserts that

@@ -1,10 +1,10 @@
 (* lint: allow-file wall-clock -- benchmark gate: the numbers it
    compares are host-machine events/s measurements by design *)
 
-(* Perf trend gate (`make bench-trend`): compare the checked-in
-   BENCH_perf.json against the best run recorded in
-   BENCH_perf_history.jsonl and fail on a events/s regression beyond
-   the tolerance (default 10%, RLA_BENCH_TREND_TOLERANCE overrides).
+(* Trend gate (`make bench-trend`): compare a checked-in bench document
+   (BENCH_scale.json, BENCH_hostile.json) against the best run recorded
+   in its history file and fail on a events/s regression beyond the
+   tolerance (default 10%, RLA_BENCH_TREND_TOLERANCE overrides).
 
    Pure comparison — no simulation runs — so the gate is cheap enough
    for `make ci`.  Which history lines count as a baseline is decided
@@ -13,7 +13,7 @@
    Runner.Trend.skip_reason verbatim, and the unit suite asserts them.
    An empty or missing history passes (nothing to regress against yet).
 
-   Usage: trend.exe [BENCH_perf.json [BENCH_perf_history.jsonl]] *)
+   Usage: trend.exe BENCH_x.json [BENCH_x_history.jsonl] *)
 
 let tolerance =
   match Sys.getenv_opt "RLA_BENCH_TREND_TOLERANCE" with
@@ -48,14 +48,15 @@ let parse_doc ~path text =
 
 let () =
   let current_path =
-    if Array.length Sys.argv > 1 then Sys.argv.(1) else "BENCH_perf.json"
+    if Array.length Sys.argv > 1 then Sys.argv.(1)
+    else fail "usage: trend.exe BENCH_x.json [BENCH_x_history.jsonl]"
   in
   let history_path =
     if Array.length Sys.argv > 2 then Sys.argv.(2)
     else Filename.remove_extension current_path ^ "_history.jsonl"
   in
   if not (Sys.file_exists current_path) then
-    fail "rla-bench-trend: %s not found (run `make bench-perf` first)"
+    fail "rla-bench-trend: %s not found (run its `make bench-*` target first)"
       current_path;
   let machine_cores = Domain.recommended_domain_count () in
   let current = parse_doc ~path:current_path (String.trim (read_file current_path)) in
@@ -67,8 +68,8 @@ let () =
   in
   if history_lines = [] then begin
     Printf.printf
-      "bench-trend: no history at %s — nothing to compare (run `make \
-       bench-perf` to record a baseline)\n\
+      "bench-trend: no history at %s — nothing to compare (run its `make \
+       bench-*` target to record a baseline)\n\
        %!"
       history_path;
     exit 0

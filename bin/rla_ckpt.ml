@@ -1,15 +1,16 @@
 (* rla_ckpt — inspect, validate and diff checkpoint files.
 
      rla_ckpt inspect  run.ckpt          # header, sections, config
-     rla_ckpt validate run.ckpt          # full rebuild + restore check
+     rla_ckpt validate run.ckpt          # replay to T + digest check
      rla_ckpt diff     a.journal b.journal   # first divergence
-     rla_ckpt diff     a.ckpt b.ckpt         # via embedded journals
+     rla_ckpt diff     a.ckpt b.ckpt         # via replayed journals
 
-   [validate] actually rebuilds the topology and restores every
-   component (the same path `rla_sim --restore` takes), so a zero exit
-   means the file will resume; [inspect] only parses the header and the
-   cheap meta/config sections.  [diff] pinpoints the first event where
-   two runs diverged — the tool for "my resumed run differs" triage. *)
+   [validate] replays the checkpointed run to its time and checks the
+   state digest (the same path `rla_sim --restore` takes), so a zero
+   exit means the file will resume; [inspect] only parses the header
+   and the cheap meta/config sections.  [diff] pinpoints the first
+   event where two runs diverged — the tool for "my resumed run
+   differs" triage. *)
 
 let pf = Printf.printf
 
@@ -27,13 +28,15 @@ let inspect path =
   (match Ckpt.Sharing_ckpt.read_meta sections with
   | Error e -> pf "  meta: unreadable (%s)\n" (Ckpt.Codec.error_to_string e)
   | Ok (meta, config) ->
-      pf "  captured at     t=%g of %g s (warmup %g)\n"
+      pf "  taken at        t=%g of %g s (warmup %g)\n"
         meta.Ckpt.Sharing_ckpt.time config.Experiments.Sharing.duration
         config.Experiments.Sharing.warmup;
-      pf "  experiment      case %s, %s gateways, seed %d, %d TCP flow(s)\n"
+      pf "  experiment      case %s, %s gateways, seed %d\n"
         (Experiments.Tree.case_name config.Experiments.Sharing.case)
         (Experiments.Scenario.gateway_name config.Experiments.Sharing.gateway)
-        config.Experiments.Sharing.seed meta.Ckpt.Sharing_ckpt.n_tcps);
+        config.Experiments.Sharing.seed;
+      pf "  instrumented    registry %b, journal %b\n"
+        meta.Ckpt.Sharing_ckpt.registry meta.Ckpt.Sharing_ckpt.journal);
   pf "  %-12s %10s  %s\n" "section" "bytes" "crc32";
   List.iter
     (fun { Ckpt.Codec.name; payload } ->
@@ -59,8 +62,8 @@ let validate path =
         (Ckpt.Sharing_ckpt.error_to_string e);
       1
 
-(* A diff operand is either a journal text file or a checkpoint with an
-   embedded journal section; sniff by magic. *)
+(* A diff operand is either a journal text file or a checkpoint of a
+   journaled run, whose journal the replay rebuilds; sniff by magic. *)
 let journal_of path =
   let is_ckpt =
     match In_channel.with_open_bin path (fun ic -> In_channel.really_input_string ic 8) with
@@ -76,7 +79,7 @@ let journal_of path =
         exit 1
     | Ok { Ckpt.Sharing_ckpt.journal = None; _ } ->
         Printf.eprintf
-          "rla_ckpt: %s has no journal section (run was not traced)\n" path;
+          "rla_ckpt: %s has no journal (run was not traced)\n" path;
         exit 1
     | Ok { Ckpt.Sharing_ckpt.journal = Some j; _ } -> j
   else
@@ -112,7 +115,8 @@ let inspect_cmd =
 
 let validate_cmd =
   let doc =
-    "Fully rebuild and restore a checkpoint; exit 0 iff it would resume"
+    "Replay a checkpoint to its time and check its state digest; exit 0 \
+     iff it would resume"
   in
   Cmd.v (Cmd.info "validate" ~doc)
     Term.(const validate $ file_arg 0 "FILE" "Checkpoint file.")

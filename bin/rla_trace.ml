@@ -139,30 +139,27 @@ let run_restore ~path ~ckpt ~csv ~json =
       Format.eprintf "rla_trace: cannot restore %s: %s@." path
         (Ckpt.Sharing_ckpt.error_to_string e);
       Stdlib.exit 1
-  | Ok loaded -> (
+  | Ok { Ckpt.Sharing_ckpt.registry = None; _ } ->
+      Format.eprintf
+        "rla_trace: %s comes from a run that was not traced (re-run it under \
+         rla_trace --checkpoint-every)@."
+        path;
+      Stdlib.exit 1
+  | Ok ({ Ckpt.Sharing_ckpt.registry = Some registry; _ } as loaded) ->
       let result =
         match ckpt with
         | None -> Ckpt.Sharing_ckpt.resume_run loaded
         | Some (every, dir) -> Ckpt.Sharing_ckpt.resume_run ~every ~dir loaded
       in
-      match loaded.Ckpt.Sharing_ckpt.registry with
-      | None ->
-          Format.eprintf
-            "rla_trace: %s carries no registry section — the original run \
-             was not traced (re-run it under rla_trace --checkpoint-every)@."
-            path;
-          Stdlib.exit 1
-      | Some registry ->
-          (* The restored registry holds the complete history, so the
-             re-dumped CSV/JSON equal the uninterrupted run's output
-             byte for byte. *)
-          dump_outputs ~csv ~json registry;
-          (match (loaded.Ckpt.Sharing_ckpt.journal, ckpt) with
-          | Some journal, Some (_, dir) ->
-              Ckpt.Journal.save journal
-                ~path:(Filename.concat dir "resume.journal")
-          | _ -> ());
-          summarize ~label:(Printf.sprintf "restore/%s" path) registry result)
+      (* The replayed registry holds the complete history, so the
+         re-dumped CSV/JSON equal the uninterrupted run's output byte for
+         byte. *)
+      dump_outputs ~csv ~json registry;
+      (match (loaded.Ckpt.Sharing_ckpt.journal, ckpt) with
+      | Some journal, Some (_, dir) ->
+          Ckpt.Journal.save journal ~path:(Filename.concat dir "resume.journal")
+      | _ -> ());
+      summarize ~label:(Printf.sprintf "restore/%s" path) registry result
 
 let run_probes ~case_index ~gateway ~duration ~seed ~interval ~csv =
   let case = Experiments.Tree.case_of_index case_index in
@@ -322,7 +319,7 @@ let ckpt_dir_arg =
 let restore_arg =
   let doc =
     "Resume a checkpointed traced run from $(docv), run it to completion and \
-     re-dump the full CSV/JSON from the restored registry (byte-identical to \
+     re-dump the full CSV/JSON from the replayed registry (byte-identical to \
      the uninterrupted run's output)."
   in
   Arg.(value & opt (some string) None & info [ "restore" ] ~docv:"FILE" ~doc)

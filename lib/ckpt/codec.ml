@@ -1,7 +1,7 @@
-(* Version 2: Tcp_ack carries an advertised-window field; the TCP
-   sender/receiver sections grew handshake, flow-control and RFC 5961
-   state; fault timelines gained blind-injection events. *)
-let version = 2
+(* Version 3: restore replays the run, so a checkpoint carries only
+   meta, config and a state digest.  Versions 1 and 2 serialized every
+   component's state for an in-place overlay and are no longer read. *)
+let version = 3
 
 let magic = "RLACKPT1"
 

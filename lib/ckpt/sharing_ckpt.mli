@@ -1,31 +1,34 @@
 (** Checkpoint/restore for the paper's main (tree-sharing) experiment.
 
-    A checkpoint file is fully self-contained: it embeds the
-    {!Experiments.Sharing.config}, so restore rebuilds the identical
-    topology with {!Experiments.Sharing.setup} (deterministic creation
-    order), overlays every component's captured state, re-arms all
-    pending events under their original ids, and refuses to resume if
-    any checkpointed event went unclaimed.  A run restored at time [T]
-    and driven to [2T] is byte-identical — trace CSV, registry JSON and
-    fairness tables — to the uninterrupted run.
+    A run is a deterministic function of its
+    {!Experiments.Sharing.config}, so a checkpoint stores no simulation
+    state: it holds the config, the time [T] it was taken at, and a
+    digest of state read at [T].  Restoring replays: {!load} rebuilds
+    the session with {!Experiments.Sharing.setup}, drives it to [T]
+    through the same run loop as the original run, and checks the
+    digest.  A run restored at [T] and driven to its duration is
+    byte-identical — trace CSV, registry JSON and fairness tables — to
+    the uninterrupted run, because it {e is} that run.
 
     Supported runs are the plain sharing scenario (RLA session + 27
     background TCPs).  Fault-injected runs are not checkpointable from
-    the CLI — the churn driver owns extra flow state outside the
-    session — but {!Faults.Injector.capture} exists and is exercised in
-    unit tests. *)
+    the CLI: the churn driver owns extra flow state outside the
+    session. *)
 
 val section_names : string list
-(** The sections a checkpoint carries, in file order: [meta], [config],
-    [scheduler], [network], [rla], [tcp], optionally [registry] and
-    [journal]. *)
+(** The sections a checkpoint carries, in file order: [meta], [config]
+    and [digest]. *)
 
-type meta = { time : float; n_tcps : int }
+type meta = {
+  time : float;  (** Simulation clock when the checkpoint was taken. *)
+  registry : bool;  (** The run had a metrics registry. *)
+  journal : bool;  (** The run had an event journal attached. *)
+}
 
 val read_meta :
   Codec.section list -> (meta * Experiments.Sharing.config, Codec.error) result
 (** Decode just the [meta] and [config] sections (cheap inspection —
-    no topology rebuild). *)
+    no replay). *)
 
 val save :
   path:string ->
@@ -36,16 +39,22 @@ val save :
   ?journal:Journal.t ->
   unit ->
   unit
-(** Capture the complete simulation into [path] (write-then-rename).
-    [time] must be the current simulation clock.  Capture is passive:
-    no events scheduled, no RNG draws, so saving never perturbs the
-    run. *)
+(** Write a checkpoint of [session] into [path] (write-then-rename).
+    [time] must be the current simulation clock.  Reading the digest is
+    passive: no events scheduled, no RNG draws, so saving never
+    perturbs the run.  [registry] and [journal] are only recorded as
+    present, so that {!load} rebuilds them. *)
 
 type error =
   | Codec_error of Codec.error
-  | Unclaimed_events of Sim.Scheduler.event_id list
-      (** The checkpoint recorded pending events no component re-armed
-          — refusing to resume beats silently dropping them. *)
+  | Bad_time of float
+      (** The recorded time is negative, not finite, or beyond the
+          config's duration. *)
+  | Bad_config of string  (** {!Experiments.Sharing.setup} rejected it. *)
+  | Digest_mismatch of { expected : string; actual : string }
+      (** Replaying the config to [T] did not reach the recorded state
+          (hex digests): the file was edited, or the simulator changed
+          since it was written. *)
 
 val error_to_string : error -> string
 
@@ -53,15 +62,17 @@ type loaded = {
   config : Experiments.Sharing.config;
   session : Experiments.Sharing.session;
   registry : Obs.Registry.t option;
-      (** Rebuilt and restored when the checkpointed run was
-          instrumented; journal taps are re-attached on resume. *)
+      (** Rebuilt by the replay when the checkpointed run had one. *)
   journal : Journal.t option;
-  time : float;  (** Clock at capture; the session is poised there. *)
+      (** Rebuilt by the replay when the checkpointed run had one. *)
+  time : float;  (** Clock at the checkpoint; the session is poised there. *)
 }
 
 val load : path:string -> (loaded, error) result
-(** Rebuild and restore.  Never raises: truncation, corruption and
-    mismatched topology all come back as [Error]. *)
+(** Replay the checkpointed run to its time and verify the digest.
+    Costs the simulation time up to [T].  Never raises: truncation,
+    corruption, a bad time or config and a digest mismatch all come
+    back as [Error]. *)
 
 val run_with_checkpoints :
   ?registry:Obs.Registry.t ->

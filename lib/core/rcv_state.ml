@@ -69,36 +69,3 @@ let mean_signal_interval t ~now =
 
 let is_troubled t ~now ~min_interval ~eta =
   t.signals > 0 && mean_signal_interval t ~now <= eta *. min_interval
-
-type state = {
-  s_board : Tcp.Scoreboard.state;
-  s_srtt : Stats.Ewma.state;
-  s_interval : Stats.Ewma.state;
-  s_cperiod_start : float;
-  s_last_signal : float;
-  s_signals : int;
-  s_acks : int;
-  s_active : bool;
-}
-
-let capture t =
-  {
-    s_board = Tcp.Scoreboard.capture t.board;
-    s_srtt = Stats.Ewma.capture t.srtt;
-    s_interval = Stats.Ewma.capture t.interval;
-    s_cperiod_start = t.cperiod_start;
-    s_last_signal = t.last_signal;
-    s_signals = t.signals;
-    s_acks = t.acks;
-    s_active = t.active;
-  }
-
-let restore t st =
-  Tcp.Scoreboard.restore t.board st.s_board;
-  Stats.Ewma.restore t.srtt st.s_srtt;
-  Stats.Ewma.restore t.interval st.s_interval;
-  t.cperiod_start <- st.s_cperiod_start;
-  t.last_signal <- st.s_last_signal;
-  t.signals <- st.s_signals;
-  t.acks <- st.s_acks;
-  t.active <- st.s_active

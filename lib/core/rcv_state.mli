@@ -62,18 +62,3 @@ val mean_signal_interval : t -> now:float -> float
 val is_troubled : t -> now:float -> min_interval:float -> eta:float -> bool
 (** Rule 6: troubled iff its mean signal interval is within
     [eta * min_interval]. *)
-
-type state = {
-  s_board : Tcp.Scoreboard.state;
-  s_srtt : Stats.Ewma.state;
-  s_interval : Stats.Ewma.state;
-  s_cperiod_start : float;
-  s_last_signal : float;
-  s_signals : int;
-  s_acks : int;
-  s_active : bool;
-}
-
-val capture : t -> state
-
-val restore : t -> state -> unit

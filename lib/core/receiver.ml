@@ -175,53 +175,3 @@ let create ~net ~node ~flow ~sender ?(ack_jitter = 0.002) ?(start = 0) () =
           on_data t ~seq ~sent_at ~rexmit ~ecn:pkt.Net.Packet.ecn
       | _ -> ());
   t
-
-(* --- checkpoint/restore -------------------------------------------- *)
-
-type state = {
-  s_rng : int64;
-  s_ooo : int list;  (* ascending *)
-  s_recent : int list;
-  s_expected : int;
-  s_received_total : int;
-  s_duplicates : int;
-  s_rexmits_received : int;
-  s_pending_acks : (Sim.Scheduler.event_id * float * bool) list;
-      (* (id, echo, ece), ascending id *)
-}
-
-let capture t =
-  {
-    s_rng = Sim.Rng.state t.rng;
-    s_ooo =
-      Hashtbl.fold (fun seq () acc -> seq :: acc) t.ooo []
-      |> List.sort Int.compare;
-    s_recent = t.recent;
-    s_expected = t.expected;
-    s_received_total = t.received_total;
-    s_duplicates = t.duplicates;
-    s_rexmits_received = t.rexmits_received;
-    s_pending_acks =
-      List.init (Array.length t.ack_ids) (fun i ->
-          (t.ack_ids.(i), t.ack_echoes.(i), t.ack_eces.(i)))
-      |> List.filter (fun (id, _, _) -> id >= 0)
-      |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b);
-  }
-
-let restore t st =
-  Sim.Rng.set_state t.rng st.s_rng;
-  Hashtbl.reset t.ooo;
-  List.iter (fun seq -> Hashtbl.replace t.ooo seq ()) st.s_ooo;
-  t.recent <- st.s_recent;
-  t.expected <- st.s_expected;
-  t.received_total <- st.s_received_total;
-  t.duplicates <- st.s_duplicates;
-  t.rexmits_received <- st.s_rexmits_received;
-  Array.fill t.ack_ids 0 (Array.length t.ack_ids) (-1);
-  let sched = Net.Network.scheduler t.net in
-  List.iter
-    (fun (id, echo, ece) ->
-      let slot = free_slot t in
-      hold_ack t slot ~id ~echo ~ece;
-      Sim.Scheduler.rearm sched ~id t.ack_thunks.(slot))
-    st.s_pending_acks

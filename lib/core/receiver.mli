@@ -37,23 +37,3 @@ val received_total : t -> int
 val duplicates : t -> int
 
 val rexmits_received : t -> int
-
-type state = {
-  s_rng : int64;
-  s_ooo : int list;  (** out-of-order set, ascending *)
-  s_recent : int list;  (** SACK block representatives, recency order *)
-  s_expected : int;
-  s_received_total : int;
-  s_duplicates : int;
-  s_rexmits_received : int;
-  s_pending_acks : (Sim.Scheduler.event_id * float * bool) list;
-      (** delayed acks in flight: [(event id, echo, ece)], ascending id.
-          The cum/SACK snapshot happens at fire time, so only these two
-          payload inputs need capturing. *)
-}
-
-val capture : t -> state
-
-val restore : t -> state -> unit
-(** Overwrite the endpoint state and re-arm pending delayed-ack events
-    under their original ids.  Must run after [Sim.Scheduler.restore]. *)

@@ -57,7 +57,6 @@ type t = {
   mutable timer : Sim.Scheduler.event_id;  (* [no_timer] when unarmed *)
   mutable timeout_thunk : unit -> unit;
       (* one closure shared by every (re)arm, not one per arm *)
-  mutable start_event : Sim.Scheduler.event_id option;
   (* counters *)
   mutable num_trouble : int;
   mutable window_cuts : int;
@@ -81,8 +80,7 @@ type t = {
   mutable meas_sent_new : int;
   mutable meas_signals_per : int array;
   (* Derived O(1) aggregates over the active scoreboards (see
-     [recompute_min_ack]/[recompute_pipes]); never captured — restore
-     recomputes them. *)
+     [recompute_min_ack]/[recompute_pipes]). *)
   mutable mla_value : int;  (* min active high_ack *)
   mutable mla_count : int;  (* active boards sitting at [mla_value] *)
   mutable pipe_counts : int array;  (* active boards per pipe value *)
@@ -124,7 +122,7 @@ let now t = Net.Network.now t.net
    calls this on every ack, so it is a table probe, not a scan of every
    slot: [find]/[Not_found] allocates nothing.  [index_active] rebuilds
    the table from the slots after every membership change (create,
-   drop, join, restore); those already cost O(n), and a rebuild cannot
+   drop, join); those already cost O(n), and a rebuild cannot
    leave a stale slot behind. *)
 let active_slot t addr =
   match Itbl.find t.active_slots addr with
@@ -147,9 +145,9 @@ let fold_active t f init =
    new packet and retransmission — so the original O(n) folds cost
    O(n^2) per ack on large groups.  They are kept as exact caches
    instead: every scoreboard mutation site below refreshes them
-   incrementally, and [create]/[restore]/membership changes recompute
-   from scratch.  The caches are derived state only — the captured
-   state format is unchanged and the values always equal the folds. *)
+   incrementally, and [create]/membership changes recompute from
+   scratch.  The caches are derived state only: the values always equal
+   the folds. *)
 
 let recompute_min_ack t =
   let v =
@@ -835,7 +833,6 @@ let create ~net ~src ~receivers ?(params = Params.default) ?(start_at = 0.0)
       queued = Hashtbl.create 64;
       timer = no_timer;
       timeout_thunk = ignore;
-      start_event = None;
       num_trouble = 1;
       window_cuts = 0;
       forced_cuts = 0;
@@ -898,185 +895,7 @@ let create ~net ~src ~receivers ?(params = Params.default) ?(start_at = 0.0)
           | i -> on_ack t t.rcvrs.(i) ~cum_ack ~blocks ~echo ~ece)
       | _ -> ());
   let stagger = Sim.Rng.float t.rng 0.1 in
-  t.start_event <-
-    Some
-      (Sim.Scheduler.schedule_at (Net.Network.scheduler net) (start +. stagger)
-         (fun () ->
-           t.start_event <- None;
-           try_send t));
+  ignore
+    (Sim.Scheduler.schedule_at (Net.Network.scheduler net) (start +. stagger)
+       (fun () -> try_send t));
   t
-
-(* --- checkpoint/restore -------------------------------------------- *)
-
-type coverage_state = {
-  c_seq : int;
-  c_covered : int;
-  c_rexmitted : bool;
-  c_sent_at : float;
-}
-
-type state = {
-  s_rcvrs : Rcv_state.state list;  (* slot order *)
-  s_n_active : int;
-  s_endpoints : Receiver.state list;  (* endpoint list order *)
-  s_rng : int64;
-  s_rto : Tcp.Rto.state;
-  s_cwnd : float;
-  s_ssthresh : float;
-  s_awnd : Stats.Ewma.state;
-  s_last_window_cut : float;
-  s_next_seq : int;
-  s_mra : int;
-  s_coverage : coverage_state list;  (* ascending seq *)
-  s_pending : int list;  (* ascending *)
-  s_rexmit_queue : (int * rexmit_target) list;  (* queue order *)
-  s_queued : int list;  (* ascending *)
-  s_timer : Sim.Scheduler.event_id option;
-  s_start_event : Sim.Scheduler.event_id option;
-  s_num_trouble : int;
-  s_window_cuts : int;
-  s_forced_cuts : int;
-  s_timeouts : int;
-  s_signals : int;
-  s_rexmits_multicast : int;
-  s_rexmits_unicast : int;
-  s_sent_new : int;
-  s_cwnd_avg : Stats.Time_avg.state;
-  s_rtt : Stats.Welford.state;
-  s_rtt_acks : Stats.Welford.state;
-  s_meas_time : float;
-  s_meas_mra : int;
-  s_meas_signals : int;
-  s_meas_cuts : int;
-  s_meas_forced : int;
-  s_meas_timeouts : int;
-  s_meas_rexmits : int;
-  s_meas_sent_new : int;
-  s_meas_signals_per : int list;  (* slot order *)
-}
-
-let capture t =
-  {
-    s_rcvrs = Array.to_list (Array.map Rcv_state.capture t.rcvrs);
-    s_n_active = t.n_active;
-    s_endpoints = List.map Receiver.capture t.endpoints;
-    s_rng = Sim.Rng.state t.rng;
-    s_rto = Tcp.Rto.capture t.rto;
-    s_cwnd = t.w.cwnd;
-    s_ssthresh = t.w.ssthresh;
-    s_awnd = Stats.Ewma.capture t.awnd;
-    s_last_window_cut = t.last_window_cut;
-    s_next_seq = t.next_seq;
-    s_mra = t.mra;
-    s_coverage =
-      Hashtbl.fold
-        (fun seq (c : coverage) acc ->
-          {
-            c_seq = seq;
-            c_covered = c.covered;
-            c_rexmitted = c.rexmitted;
-            c_sent_at = c.sent_at;
-          }
-          :: acc)
-        t.coverage []
-      |> List.sort (fun a b -> Int.compare a.c_seq b.c_seq);
-    s_pending =
-      Hashtbl.fold (fun seq () acc -> seq :: acc) t.pending []
-      |> List.sort Int.compare;
-    s_rexmit_queue = t.rexmit_queue;
-    s_queued =
-      Hashtbl.fold (fun seq () acc -> seq :: acc) t.queued []
-      |> List.sort Int.compare;
-    s_timer = (if t.timer = no_timer then None else Some t.timer);
-    s_start_event = t.start_event;
-    s_num_trouble = t.num_trouble;
-    s_window_cuts = t.window_cuts;
-    s_forced_cuts = t.forced_cuts;
-    s_timeouts = t.timeouts;
-    s_signals = t.signals;
-    s_rexmits_multicast = t.rexmits_multicast;
-    s_rexmits_unicast = t.rexmits_unicast;
-    s_sent_new = t.sent_new;
-    s_cwnd_avg = Stats.Time_avg.capture t.cwnd_avg;
-    s_rtt = Stats.Welford.capture !(t.rtt);
-    s_rtt_acks = Stats.Welford.capture !(t.rtt_acks);
-    s_meas_time = t.meas_time;
-    s_meas_mra = t.meas_mra;
-    s_meas_signals = t.meas_signals;
-    s_meas_cuts = t.meas_cuts;
-    s_meas_forced = t.meas_forced;
-    s_meas_timeouts = t.meas_timeouts;
-    s_meas_rexmits = t.meas_rexmits;
-    s_meas_sent_new = t.meas_sent_new;
-    s_meas_signals_per = Array.to_list t.meas_signals_per;
-  }
-
-let restore t st =
-  if List.length st.s_rcvrs <> Array.length t.rcvrs then
-    invalid_arg
-      (Printf.sprintf "Sender.restore: %d receiver slots captured, %d present"
-         (List.length st.s_rcvrs) (Array.length t.rcvrs));
-  if List.length st.s_endpoints <> List.length t.endpoints then
-    invalid_arg
-      (Printf.sprintf "Sender.restore: %d endpoints captured, %d present"
-         (List.length st.s_endpoints)
-         (List.length t.endpoints));
-  List.iteri (fun i s -> Rcv_state.restore t.rcvrs.(i) s) st.s_rcvrs;
-  t.n_active <- st.s_n_active;
-  index_active t;
-  List.iter2 Receiver.restore t.endpoints st.s_endpoints;
-  Sim.Rng.set_state t.rng st.s_rng;
-  Tcp.Rto.restore t.rto st.s_rto;
-  t.w.cwnd <- st.s_cwnd;
-  t.w.ssthresh <- st.s_ssthresh;
-  Stats.Ewma.restore t.awnd st.s_awnd;
-  t.last_window_cut <- st.s_last_window_cut;
-  t.next_seq <- st.s_next_seq;
-  t.mra <- st.s_mra;
-  Hashtbl.reset t.coverage;
-  List.iter
-    (fun c ->
-      Hashtbl.replace t.coverage c.c_seq
-        { covered = c.c_covered; rexmitted = c.c_rexmitted; sent_at = c.c_sent_at })
-    st.s_coverage;
-  Hashtbl.reset t.pending;
-  List.iter (fun seq -> Hashtbl.replace t.pending seq ()) st.s_pending;
-  t.rexmit_queue <- st.s_rexmit_queue;
-  Hashtbl.reset t.queued;
-  List.iter (fun seq -> Hashtbl.replace t.queued seq ()) st.s_queued;
-  t.timer <- Option.value st.s_timer ~default:no_timer;
-  t.start_event <- st.s_start_event;
-  let sched = Net.Network.scheduler t.net in
-  (match st.s_timer with
-  | None -> ()
-  | Some id -> Sim.Scheduler.rearm sched ~id t.timeout_thunk);
-  (match st.s_start_event with
-  | None -> ()
-  | Some id ->
-      Sim.Scheduler.rearm sched ~id (fun () ->
-          t.start_event <- None;
-          try_send t));
-  t.num_trouble <- st.s_num_trouble;
-  t.window_cuts <- st.s_window_cuts;
-  t.forced_cuts <- st.s_forced_cuts;
-  t.timeouts <- st.s_timeouts;
-  t.signals <- st.s_signals;
-  t.rexmits_multicast <- st.s_rexmits_multicast;
-  t.rexmits_unicast <- st.s_rexmits_unicast;
-  t.sent_new <- st.s_sent_new;
-  Stats.Time_avg.restore t.cwnd_avg st.s_cwnd_avg;
-  Stats.Welford.restore !(t.rtt) st.s_rtt;
-  Stats.Welford.restore !(t.rtt_acks) st.s_rtt_acks;
-  t.meas_time <- st.s_meas_time;
-  t.meas_mra <- st.s_meas_mra;
-  t.meas_signals <- st.s_meas_signals;
-  t.meas_cuts <- st.s_meas_cuts;
-  t.meas_forced <- st.s_meas_forced;
-  t.meas_timeouts <- st.s_meas_timeouts;
-  t.meas_rexmits <- st.s_meas_rexmits;
-  t.meas_sent_new <- st.s_meas_sent_new;
-  t.meas_signals_per <- Array.of_list st.s_meas_signals_per;
-  (* The cached aggregates are derived state: rebuild them from the
-     restored scoreboards. *)
-  recompute_min_ack t;
-  recompute_pipes t

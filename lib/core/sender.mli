@@ -155,66 +155,3 @@ type snapshot = {
 }
 
 val snapshot : t -> snapshot
-
-type rexmit_target = To_group | To_receivers of Net.Packet.addr list
-(** Where a queued retransmission will go: the whole multicast group,
-    or unicast copies to the listed receivers. *)
-
-type coverage_state = {
-  c_seq : int;
-  c_covered : int;  (** receivers that have acked this packet *)
-  c_rexmitted : bool;
-  c_sent_at : float;
-}
-
-type state = {
-  s_rcvrs : Rcv_state.state list;  (** slot order *)
-  s_n_active : int;
-  s_endpoints : Receiver.state list;  (** endpoint list order *)
-  s_rng : int64;
-  s_rto : Tcp.Rto.state;
-  s_cwnd : float;
-  s_ssthresh : float;
-  s_awnd : Stats.Ewma.state;
-  s_last_window_cut : float;
-  s_next_seq : int;
-  s_mra : int;
-  s_coverage : coverage_state list;  (** ascending seq *)
-  s_pending : int list;  (** ascending *)
-  s_rexmit_queue : (int * rexmit_target) list;  (** queue order *)
-  s_queued : int list;  (** ascending *)
-  s_timer : Sim.Scheduler.event_id option;
-  s_start_event : Sim.Scheduler.event_id option;
-  s_num_trouble : int;
-  s_window_cuts : int;
-  s_forced_cuts : int;
-  s_timeouts : int;
-  s_signals : int;
-  s_rexmits_multicast : int;
-  s_rexmits_unicast : int;
-  s_sent_new : int;
-  s_cwnd_avg : Stats.Time_avg.state;
-  s_rtt : Stats.Welford.state;
-  s_rtt_acks : Stats.Welford.state;
-  s_meas_time : float;
-  s_meas_mra : int;
-  s_meas_signals : int;
-  s_meas_cuts : int;
-  s_meas_forced : int;
-  s_meas_timeouts : int;
-  s_meas_rexmits : int;
-  s_meas_sent_new : int;
-  s_meas_signals_per : int list;  (** slot order *)
-}
-
-val capture : t -> state
-(** Everything mutable about the session, including its receiver
-    endpoints and pending timer/start events, in a serializable form.
-    The captured session must have the same membership history as the
-    one being restored into. *)
-
-val restore : t -> state -> unit
-(** Overwrite the session state and re-arm the retransmission timer and
-    start event under their original ids.  Must run after
-    [Sim.Scheduler.restore]; raises [Invalid_argument] when receiver
-    slot or endpoint counts disagree with the capture. *)

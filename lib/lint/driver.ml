@@ -3,6 +3,8 @@
    checks, filter by rule scope and --rules, apply suppression
    annotations, and render text, JSON or SARIF. *)
 
+module Json = Json_codec.Json
+
 let read_file path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
@@ -210,15 +212,8 @@ let run ?rules ~paths () =
   let ast_findings =
     List.concat_map (fun (file, ast) -> Ast_check.check_impl ~file ast) p.asts
   in
-  let parse_impl_file file =
-    match List.assoc_opt file p.asts with
-    | Some ast -> Ok ast
-    | None -> Error "parse failure"
-  in
   let project_findings =
     Project_check.mli_required ~ml_files:p.ml_files
-    @ Project_check.ckpt_coverage ~parse_impl:parse_impl_file ~parse_interface
-        ~ml_files:p.ml_files
     @ List.concat_map
         (fun (lib_dirs, search_files) ->
           Project_check.unused_export ~parse_interface ~lib_dirs ~search_files)

@@ -28,13 +28,13 @@ val hot_annotations : paths:string list -> unit -> (string * string) list
 val render_text : Finding.t list -> string
 (** One [file:line rule message] line per finding. *)
 
-val to_json : Finding.t list -> Json.t
+val to_json : Finding.t list -> Json_codec.Json.t
 
-val to_sarif : Finding.t list -> Json.t
+val to_sarif : Finding.t list -> Json_codec.Json.t
 (** Minimal SARIF 2.1.0 document (one run, registry rule table, one
     result per finding) for [--format sarif]. *)
 
-val of_json : Json.t -> (Finding.t list, string) result
+val of_json : Json_codec.Json.t -> (Finding.t list, string) result
 (** Inverse of {!to_json} (the round-trip the tests lock in). *)
 
 val exit_code : ?strict:bool -> Finding.t list -> int

@@ -45,80 +45,6 @@ let mli_required ~ml_files =
                   (Filename.basename mli))))
     ml_files
 
-(* --- checkpoint coverage -------------------------------------------- *)
-
-(* A module whose implementation declares a record with mutable fields
-   holds run state; in the checkpointed libraries its interface must
-   export a [capture]/[restore] pair or checkpoints silently miss it.
-   The mutable-record heuristic is deliberately narrow (refs and
-   hashtables buried in closures escape it) but it is exactly how this
-   codebase structures component state, and false positives are
-   waivable with the usual annotation. *)
-
-let first_mutable_record_line ast =
-  List.find_map
-    (fun item ->
-      match item.Parsetree.pstr_desc with
-      | Parsetree.Pstr_type (_, decls) ->
-          List.find_map
-            (fun decl ->
-              match decl.Parsetree.ptype_kind with
-              | Parsetree.Ptype_record labels ->
-                  List.find_map
-                    (fun lbl ->
-                      match lbl.Parsetree.pld_mutable with
-                      | Asttypes.Mutable ->
-                          Some
-                            (lbl.Parsetree.pld_loc.Location.loc_start
-                               .Lexing.pos_lnum)
-                      | Asttypes.Immutable -> None)
-                    labels
-              | _ -> None)
-            decls
-      | _ -> None)
-    ast
-
-let interface_exports signature name =
-  List.exists
-    (fun item ->
-      match item.Parsetree.psig_desc with
-      | Parsetree.Psig_value vd -> String.equal vd.Parsetree.pval_name.txt name
-      | _ -> false)
-    signature
-
-let ckpt_coverage ~parse_impl ~parse_interface ~ml_files =
-  List.filter_map
-    (fun ml ->
-      if mli_exempt ml then None
-      else
-        match parse_impl ml with
-        | Error _ -> None
-        | Ok ast -> (
-            match first_mutable_record_line ast with
-            | None -> None
-            | Some line -> (
-                let mli = Filename.remove_extension ml ^ ".mli" in
-                (* A missing interface is mli-required's finding. *)
-                if not (Sys.file_exists mli) then None
-                else
-                  match parse_interface mli with
-                  | Error _ -> None
-                  | Ok signature ->
-                      if
-                        interface_exports signature "capture"
-                        && interface_exports signature "restore"
-                      then None
-                      else
-                        Some
-                          (Finding.make ~file:ml ~line ~rule:"ckpt-coverage"
-                             ~severity:(Rules.severity_of "ckpt-coverage")
-                             (Printf.sprintf
-                                "mutable record state without a \
-                                 capture/restore pair in %s — checkpoints \
-                                 cannot carry this module"
-                                (Filename.basename mli))))))
-    ml_files
-
 (* --- unused exports ------------------------------------------------- *)
 
 let is_ident_char = function

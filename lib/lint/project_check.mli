@@ -5,17 +5,6 @@ val mli_required : ml_files:string list -> Finding.t list
     under bin/, bench/ or examples/ components are exempt (executable
     roots). *)
 
-val ckpt_coverage :
-  parse_impl:(string -> (Parsetree.structure, string) result) ->
-  parse_interface:(string -> (Parsetree.signature, string) result) ->
-  ml_files:string list ->
-  Finding.t list
-(** One advisory [ckpt-coverage] warning per .ml that declares a record
-    with mutable fields while its sibling .mli exports no
-    [capture]/[restore] pair: such state cannot travel in a checkpoint.
-    Scope (the checkpointed libraries) is applied by the driver; files
-    without an .mli are left to [mli-required]. *)
-
 val unused_export :
   parse_interface:(string -> (Parsetree.signature, string) result) ->
   lib_dirs:(string * string list) list ->

@@ -64,14 +64,6 @@ let all =
       severity = Finding.Warning;
     };
     {
-      name = "ckpt-coverage";
-      summary =
-        "module holds mutable record state but its interface exports no \
-         capture/restore pair, so checkpoints cannot carry it (advisory)";
-      scope = Dirs [ "lib/sim"; "lib/net"; "lib/tcp"; "lib/core" ];
-      severity = Finding.Warning;
-    };
-    {
       name = "shared-mutable-capture";
       summary =
         "module-level mutable state (ref/Hashtbl/Buffer/mutable record) \

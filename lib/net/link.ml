@@ -374,101 +374,3 @@ let set_up t =
     t.times.downtime_acc <-
       t.times.downtime_acc +. (Sim.Scheduler.now t.sched -. t.times.down_since)
   end
-
-(* --- checkpoint/restore -------------------------------------------- *)
-
-type state = {
-  s_bandwidth_bps : float;
-  s_prop_delay : float;
-  s_buffer : Packet.t list;  (* FIFO order, head of line first *)
-  s_busy : bool;
-  s_in_service : Packet.t option;
-  s_tx_event : Sim.Scheduler.event_id option;
-  s_inflight : (Sim.Scheduler.event_id * Packet.t) list;  (* ascending id *)
-  s_up : bool;
-  s_down_since : float;
-  s_downtime_acc : float;
-  s_last_delivery : float;
-  s_offered : int;
-  s_dropped : int;
-  s_delivered : int;
-  s_bytes_delivered : int;
-  s_marked : int;
-  s_rng : int64;
-  s_disc : Queue_disc.state;
-}
-
-(* Captured packets are private copies: live packets are recycled
-   through the pool as the simulation advances, so a state that shared
-   records with the running link would be silently rewritten.  The
-   copies are plain records with one reference, valid whether the state
-   is serialized or restored in-memory later. *)
-let snapshot_pkt (p : Packet.t) = { p with Packet.refs = 1 }
-
-let capture t =
-  let wire =
-    List.map2
-      (fun id pkt -> (id, snapshot_pkt pkt))
-      (Sim.Scheduler.Lane.ids t.wire)
-      (Ring.capture t.wire_pkts)
-  in
-  {
-    s_bandwidth_bps = t.config.bandwidth_bps;
-    s_prop_delay = t.config.prop_delay;
-    s_buffer = List.map snapshot_pkt (Ring.capture t.buffer);
-    s_busy = t.busy;
-    s_in_service =
-      (if t.in_service == no_packet then None
-       else Some (snapshot_pkt t.in_service));
-    s_tx_event = (if t.tx_event = no_event then None else Some t.tx_event);
-    s_inflight = wire;
-    s_up = t.up;
-    s_down_since = t.times.down_since;
-    s_downtime_acc = t.times.downtime_acc;
-    s_last_delivery = t.times.last_delivery;
-    s_offered = t.offered;
-    s_dropped = t.dropped;
-    s_delivered = t.delivered;
-    s_bytes_delivered = t.bytes_delivered;
-    s_marked = t.marked;
-    s_rng = Sim.Rng.state t.rng;
-    s_disc = Queue_disc.capture t.disc;
-  }
-
-(* Must run after [Sim.Scheduler.restore]: the tx-completion and every
-   in-flight delivery re-arm under their original event ids.  The RNG
-   is set once here — the queue discipline shares the same generator.
-   Installed packets are copies of the state's (the state stays
-   pristine if restored again). *)
-let restore t st =
-  t.config <-
-    {
-      t.config with
-      bandwidth_bps = st.s_bandwidth_bps;
-      prop_delay = st.s_prop_delay;
-    };
-  Ring.restore t.buffer (List.map snapshot_pkt st.s_buffer);
-  t.busy <- st.s_busy;
-  t.in_service <-
-    (match st.s_in_service with None -> no_packet | Some p -> snapshot_pkt p);
-  t.tx_event <- Option.value st.s_tx_event ~default:no_event;
-  (match (st.s_tx_event, st.s_in_service) with
-  | Some id, Some _ -> Sim.Scheduler.rearm t.sched ~id t.tx_thunk
-  | Some id, None ->
-      invalid_arg
-        (Printf.sprintf "Link.restore: %s: tx event %d with nothing in service"
-           t.id id)
-  | None, _ -> ());
-  Ring.restore t.wire_pkts (List.map (fun (_, p) -> snapshot_pkt p) st.s_inflight);
-  List.iter (fun (id, _) -> Sim.Scheduler.Lane.rearm t.wire ~id) st.s_inflight;
-  t.up <- st.s_up;
-  t.times.down_since <- st.s_down_since;
-  t.times.downtime_acc <- st.s_downtime_acc;
-  t.times.last_delivery <- st.s_last_delivery;
-  t.offered <- st.s_offered;
-  t.dropped <- st.s_dropped;
-  t.delivered <- st.s_delivered;
-  t.bytes_delivered <- st.s_bytes_delivered;
-  t.marked <- st.s_marked;
-  Sim.Rng.set_state t.rng st.s_rng;
-  Queue_disc.restore t.disc st.s_disc

@@ -127,37 +127,3 @@ val set_delay : t -> float -> unit
     reorder deliveries: each delivery is clamped to be no earlier than
     the previously scheduled one.  Raises [Invalid_argument] when
     negative. *)
-
-(** {2 Checkpoint/restore} *)
-
-type state = {
-  s_bandwidth_bps : float;
-  s_prop_delay : float;
-  s_buffer : Packet.t list;  (** FIFO order, head of line first *)
-  s_busy : bool;
-  s_in_service : Packet.t option;
-  s_tx_event : Sim.Scheduler.event_id option;
-  s_inflight : (Sim.Scheduler.event_id * Packet.t) list;
-      (** packets past serialization, keyed by delivery event id *)
-  s_up : bool;
-  s_down_since : float;
-  s_downtime_acc : float;
-  s_last_delivery : float;
-  s_offered : int;
-  s_dropped : int;
-  s_delivered : int;
-  s_bytes_delivered : int;
-  s_marked : int;
-  s_rng : int64;
-  s_disc : Queue_disc.state;
-}
-
-val capture : t -> state
-(** Pure read of the complete link state, including the shared
-    link/discipline RNG and every delivery still on the wire. *)
-
-val restore : t -> state -> unit
-(** Overwrite the link with a captured state and re-arm its pending
-    events (tx completion, in-flight deliveries) under their original
-    ids.  Must run after [Sim.Scheduler.restore] on the same
-    scheduler. *)

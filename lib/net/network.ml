@@ -262,55 +262,3 @@ let import_packet t ~flow ~src ~dst ~size ~payload ~born ~ecn =
   pkt
 
 let run_until t horizon = Sim.Scheduler.run_until t.sched horizon
-
-(* --- checkpoint/restore -------------------------------------------- *)
-
-type state = {
-  s_root_rng : int64;
-  s_next_flow : int;
-  s_next_group : int;
-  s_next_uid : int;
-  s_nodes : int list;  (* undeliverable counts, by address *)
-  s_links : Link.state list;  (* creation order *)
-}
-
-let capture t =
-  {
-    s_root_rng = Sim.Rng.state t.root_rng;
-    s_next_flow = t.next_flow;
-    s_next_group = t.next_group;
-    s_next_uid = t.next_uid;
-    s_nodes =
-      List.init t.n_nodes (fun i ->
-          let n = t.nodes.(i) in
-          if Node.id n <> i then
-            invalid_arg
-              (Printf.sprintf
-                 "Network.capture: address %d is a gap (sparse networks are \
-                  not capturable)"
-                 i);
-          Node.capture n);
-    s_links = List.map Link.capture (links t);
-  }
-
-(* The topology itself (nodes, links, routes, trees) is not serialized:
-   restore targets a network rebuilt deterministically by the same
-   experiment setup, and only overwrites mutable simulation state.
-   Must run after [Sim.Scheduler.restore] (links re-arm their pending
-   events); the scheduler is deliberately untouched here. *)
-let restore t st =
-  if List.length st.s_nodes <> t.n_nodes then
-    invalid_arg
-      (Printf.sprintf "Network.restore: %d nodes captured, %d present"
-         (List.length st.s_nodes) t.n_nodes);
-  let ls = links t in
-  if List.length st.s_links <> List.length ls then
-    invalid_arg
-      (Printf.sprintf "Network.restore: %d links captured, %d present"
-         (List.length st.s_links) (List.length ls));
-  Sim.Rng.set_state t.root_rng st.s_root_rng;
-  t.next_flow <- st.s_next_flow;
-  t.next_group <- st.s_next_group;
-  t.next_uid <- st.s_next_uid;
-  List.iteri (fun i n -> Node.restore t.nodes.(i) n) st.s_nodes;
-  List.iter2 Link.restore ls st.s_links

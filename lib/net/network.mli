@@ -42,8 +42,7 @@ val add_node : t -> Node.t
 val add_node_at : t -> Packet.addr -> Node.t
 (** Create a node at an explicit address, leaving any skipped addresses
     as gaps ([node] raises [Not_found] for them).  This lets a shard of
-    a partitioned topology keep global addresses locally.  Sparse
-    networks cannot be captured (see {!capture}).  Raises
+    a partitioned topology keep global addresses locally.  Raises
     [Invalid_argument] if the address is negative or occupied. *)
 
 val node : t -> Packet.addr -> Node.t
@@ -125,27 +124,3 @@ val run_until : t -> float -> unit
 val path : t -> Packet.addr -> Packet.addr -> Link.t list
 (** Links traversed by unicast traffic between the two addresses
     (empty if equal or unrouted). *)
-
-(** {2 Checkpoint/restore} *)
-
-type state = {
-  s_root_rng : int64;
-  s_next_flow : int;
-  s_next_group : int;
-  s_next_uid : int;
-  s_nodes : int list;  (** per-node undeliverable counts, by address *)
-  s_links : Link.state list;  (** in {!links} (creation) order *)
-}
-
-val capture : t -> state
-(** Pure read of all mutable network state.  The scheduler is captured
-    separately ([Sim.Scheduler.capture]); topology is not serialized at
-    all — restore targets an identically rebuilt network.  Raises
-    [Invalid_argument] on a sparse network (gap addresses from
-    {!add_node_at}): shard-local slices are not capturable. *)
-
-val restore : t -> state -> unit
-(** Overwrite mutable state on a network rebuilt by the same
-    deterministic setup (same node/link creation order).  Links re-arm
-    their pending events, so [Sim.Scheduler.restore] must have run
-    first.  Raises [Invalid_argument] on a node/link count mismatch. *)

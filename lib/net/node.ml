@@ -101,10 +101,3 @@ let receive t pkt =
           send_each pkt rest)
 
 let undeliverable t = t.undeliverable
-
-(* Routes, multicast branches, group membership and flow handlers are
-   topology wiring, rebuilt deterministically by the experiment setup;
-   the undeliverable count is the node's only simulation state. *)
-let capture t = t.undeliverable
-
-let restore t n = t.undeliverable <- n

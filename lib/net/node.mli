@@ -46,9 +46,3 @@ val receive : t -> Packet.t -> unit
 
 val undeliverable : t -> int
 (** Packets that reached this node but had no handler and no route. *)
-
-val capture : t -> int
-(** The undeliverable count — the node's only simulation state (routing
-    tables and handlers are wiring, rebuilt by the experiment setup). *)
-
-val restore : t -> int -> unit

@@ -1,7 +1,3 @@
-(* lint: allow-file ckpt-coverage -- packet fields are mutable only so
-   the pool can recycle records; per-packet state is captured and
-   restored by the owning link/node codecs, never by this module. *)
-
 type addr = int
 
 type group = int

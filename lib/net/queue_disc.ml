@@ -53,19 +53,3 @@ let avg_queue t =
   match t.impl with
   | Tail | Lossy _ -> nan
   | Red_state red -> Red.avg_queue red
-
-(* Drop-tail and Bernoulli disciplines hold no mutable state of their
-   own (the loss RNG is shared with the owning link). *)
-type state = Stateless | Red of Red.state
-
-let capture t =
-  match t.impl with
-  | Tail | Lossy _ -> Stateless
-  | Red_state red -> Red (Red.capture red)
-
-let restore t st =
-  match (t.impl, st) with
-  | (Tail | Lossy _), Stateless -> ()
-  | Red_state red, Red s -> Red.restore red s
-  | Red_state _, Stateless | (Tail | Lossy _), Red _ ->
-      invalid_arg "Queue_disc.restore: discipline mismatch"

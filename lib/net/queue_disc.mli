@@ -36,13 +36,3 @@ val on_empty : t -> now:float -> unit
 val avg_queue : t -> float
 (** RED average queue estimate; instantaneous length is not tracked
     here, so for drop-tail this returns [nan]. *)
-
-type state = Stateless | Red of Red.state
-(** Drop-tail and Bernoulli disciplines are stateless here (the loss
-    RNG is shared with — and captured by — the owning link). *)
-
-val capture : t -> state
-
-val restore : t -> state -> unit
-(** Raises [Invalid_argument] if the captured state does not match the
-    discipline kind (checkpoint/topology mismatch). *)

@@ -141,31 +141,3 @@ let[@inline] decide t ~now ~qlen =
 let drops t = t.drops
 
 let marks t = t.marks
-
-(* The rng is shared with the owning link, which captures it once. *)
-type state = {
-  s_avg : float;
-  s_count : int;
-  s_q_time : float;
-  s_idle : bool;
-  s_drops : int;
-  s_marks : int;
-}
-
-let capture t =
-  {
-    s_avg = t.f.avg;
-    s_count = t.count;
-    s_q_time = t.f.q_time;
-    s_idle = t.idle;
-    s_drops = t.drops;
-    s_marks = t.marks;
-  }
-
-let restore t st =
-  t.f.avg <- st.s_avg;
-  t.count <- st.s_count;
-  t.f.q_time <- st.s_q_time;
-  t.idle <- st.s_idle;
-  t.drops <- st.s_drops;
-  t.marks <- st.s_marks

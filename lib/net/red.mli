@@ -49,18 +49,3 @@ val drops : t -> int
 
 val marks : t -> int
 (** ECN marks so far. *)
-
-type state = {
-  s_avg : float;
-  s_count : int;
-  s_q_time : float;
-  s_idle : bool;
-  s_drops : int;
-  s_marks : int;
-}
-(** Complete mutable gateway state.  The RNG is shared with the owning
-    link, which captures it separately. *)
-
-val capture : t -> state
-
-val restore : t -> state -> unit

@@ -68,12 +68,3 @@ let iter t ~f =
   for i = 0 to t.len - 1 do
     f t.buf.((t.head + i) land mask)
   done
-
-let capture t =
-  let xs = ref [] in
-  iter t ~f:(fun x -> xs := x :: !xs);
-  List.rev !xs
-
-let restore t xs =
-  clear t;
-  List.iter (fun x -> push t x) xs

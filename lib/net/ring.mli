@@ -28,9 +28,3 @@ val clear : 'a t -> unit
 
 val iter : 'a t -> f:('a -> unit) -> unit
 (** Front to back. *)
-
-val capture : 'a t -> 'a list
-(** Contents front-to-back; pure read (checkpoint support). *)
-
-val restore : 'a t -> 'a list -> unit
-(** Replace the contents with a captured list, front first. *)

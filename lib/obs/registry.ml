@@ -107,33 +107,3 @@ let gauges t =
   List.rev_map (fun g -> (g.gauge_name, g.gauge_value)) t.gauge_order
 
 let all_series t = List.rev t.series_order
-
-(* --- checkpoint/restore ---------------------------------------------- *)
-
-type state = {
-  s_counters : (string * int) list;  (* creation order *)
-  s_gauges : (string * float) list;
-  s_series : (string * int * Series.state) list;  (* (name, limit, state) *)
-}
-
-let capture t =
-  {
-    s_counters = counters t;
-    s_gauges = gauges t;
-    s_series =
-      List.rev_map
-        (fun s -> (Series.name s, Series.limit s, Series.capture s))
-        t.series_order;
-  }
-
-(* Interning in saved creation order reproduces the order lists: after
-   a deterministic rebuild the components have already interned a
-   prefix of these names in the same order, so each entry either finds
-   its existing cell or appends in the captured position.  Taps are not
-   state — subscribers re-attach themselves. *)
-let restore t st =
-  List.iter (fun (name, n) -> (counter t name).count <- n) st.s_counters;
-  List.iter (fun (name, v) -> (gauge t name).gauge_value <- v) st.s_gauges;
-  List.iter
-    (fun (name, limit, s) -> Series.restore (series ~limit t name) s)
-    st.s_series

@@ -84,21 +84,3 @@ val counters : t -> (string * int) list
 val gauges : t -> (string * float) list
 
 val all_series : t -> Series.t list
-
-(** {2 Checkpoint/restore} *)
-
-type state = {
-  s_counters : (string * int) list;  (** creation order *)
-  s_gauges : (string * float) list;
-  s_series : (string * int * Series.state) list;
-      (** [(name, limit, state)] in creation order *)
-}
-
-val capture : t -> state
-
-val restore : t -> state -> unit
-(** Overwrite all metric cells with the captured values, interning in
-    saved creation order so exporters enumerate identically to the
-    original run.  Intended for a freshly rebuilt registry whose
-    components interned the same name prefix in the same order.  Taps
-    are not restored — subscribers re-attach themselves. *)

@@ -81,31 +81,3 @@ let iter t ~f =
   for i = 0 to t.len - 1 do
     f ~time:t.times.(i) t.values.(i)
   done
-
-(* The buffers are restored at exactly [s_len] capacity: the next add
-   that needs room re-grows them, which is unobservable (growth policy
-   depends only on [len]/[limit], both restored). *)
-type state = {
-  s_times : float array;
-  s_values : float array;
-  s_stride : int;
-  s_skip : int;
-  s_offered : int;
-}
-
-let capture t =
-  {
-    s_times = Array.sub t.times 0 t.len;
-    s_values = Array.sub t.values 0 t.len;
-    s_stride = t.stride;
-    s_skip = t.skip;
-    s_offered = t.offered;
-  }
-
-let restore t st =
-  t.times <- Array.copy st.s_times;
-  t.values <- Array.copy st.s_values;
-  t.len <- Array.length st.s_times;
-  t.stride <- st.s_stride;
-  t.skip <- st.s_skip;
-  t.offered <- st.s_offered

@@ -49,20 +49,3 @@ val last : t -> (float * float) option
 (** Most recent stored sample. *)
 
 val iter : t -> f:(time:float -> float -> unit) -> unit
-
-type state = {
-  s_times : float array;
-  s_values : float array;
-  s_stride : int;
-  s_skip : int;
-  s_offered : int;
-}
-(** Complete recording state: stored samples plus the decimation
-    position ([name] and [limit] are configuration). *)
-
-val capture : t -> state
-
-val restore : t -> state -> unit
-(** After [restore t (capture t')], subsequent identical [add]
-    sequences store identical samples — the decimation schedule
-    continues exactly where [t'] left off. *)

@@ -39,11 +39,10 @@ type error =
       (** A TCP pair's endpoints or routed path leave its shard. *)
   | Bad_config of string
   | Checkpoint_unsupported
-      (** Sharded runs cannot be checkpointed: shard networks are
-          sparse address-space slices with live cross-shard messages in
-          flight at every barrier, outside what [Ckpt.State] captures.
-          Requesting a checkpoint is rejected up front — never silently
-          ignored. *)
+      (** Sharded runs cannot be checkpointed: a checkpoint
+          ([Ckpt.Sharing_ckpt]) replays a sharing-experiment config,
+          and a sharded run is not one.  Requesting a checkpoint is
+          rejected up front — never silently ignored. *)
 
 type result = {
   shards : int;

@@ -1,7 +1,7 @@
 (** Comparability model of the perf-trend gate.
 
-    `make bench-trend` compares the checked-in BENCH_perf.json /
-    BENCH_scale.json against a history of earlier runs, but a history
+    `make bench-trend` compares the checked-in BENCH_scale.json /
+    BENCH_hostile.json against a history of earlier runs, but a history
     line is only a valid baseline when it measured the same thing:
     same scenario duration and seed, and — for documents that record a
     ["cores"] field (parallel-speedup numbers do) — the same machine

@@ -12,9 +12,9 @@
    created from an immediate, so the representation is safe for every
    ['a] including [float] (floats are stored boxed, never unboxed, and
    all accesses go through the uniform-array path).  Vacated slots are
-   overwritten with the immediate dummy on [pop], [clear] and
-   [restore], so a drained heap keeps no value (and hence no closure,
-   packet or sender captured by one) reachable. *)
+   overwritten with the immediate dummy on [pop] and [clear], so a
+   drained heap keeps no value (and hence no closure, packet or sender
+   captured by one) reachable. *)
 
 type 'a t = {
   mutable prios : float array;
@@ -122,36 +122,18 @@ let[@inline] add t ~prio value =
   push t ~prio ~seq value
 
 (* Insert under a caller-chosen tie-break counter: the scheduler keys
-   every entry by its event id, and a restored heap re-inserts under
-   the original counters to pop in exactly the original order.  The
-   caller owns seq uniqueness; [next_seq] is left untouched.  [@inline]
+   every entry by its event id, so the counter of a popped entry is its
+   id.  The caller owns seq uniqueness; [next_seq] is left untouched.  [@inline]
    for the same reason as [add]. *)
 (* lint: hot add_with_seq -- every scheduled event and every delivery
    lane head; must not box the priority *)
 let[@inline] add_with_seq t ~prio ~seq value = push t ~prio ~seq value
-
-let next_seq t = t.next_seq
-
-let capture t =
-  let xs = ref [] in
-  for i = 0 to t.size - 1 do
-    xs := (t.prios.(i), t.seqs.(i), (Obj.obj t.vals.(i) : 'a)) :: !xs
-  done;
-  List.sort
-    (fun (p1, s1, _) (p2, s2, _) ->
-      match Float.compare p1 p2 with 0 -> Int.compare s1 s2 | c -> c)
-    !xs
 
 let clear t =
   t.prios <- [||];
   t.seqs <- [||];
   t.vals <- [||];
   t.size <- 0
-
-let restore t ~next_seq entries =
-  clear t;
-  List.iter (fun (prio, seq, value) -> push t ~prio ~seq value) entries;
-  t.next_seq <- next_seq
 
 (* Cold paths live in [@inline never] helpers: a closure or a [Printf]
    call inside a hot function keeps it from being inlined, and the
@@ -212,8 +194,8 @@ let pop_top t =
   else Array.unsafe_set t.vals 0 dummy;
   value
 
-(* lint: hot pop_entry -- checkpoint drain + replay path over the live
-   heap; one option cell per entry is its only allowed allocation *)
+(* lint: hot pop_entry -- draining pop over the live heap; one option
+   cell per entry is its only allowed allocation *)
 let pop_entry t =
   if t.size = 0 then None
   else begin

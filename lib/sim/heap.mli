@@ -9,7 +9,7 @@
     unboxed counters, uniform value slots), so the hot sift path never
     follows a per-element pointer and insertion allocates nothing
     beyond amortized growth.  Slots vacated by {!pop} (and the whole
-    store on {!clear}/{!restore}) are overwritten, so a drained heap
+    store on {!clear}) are overwritten, so a drained heap
     retains no reference to any value it ever held. *)
 
 type 'a t
@@ -59,8 +59,7 @@ val add_with_seq : 'a t -> prio:float -> seq:int -> 'a -> unit
 (** [add_with_seq t ~prio ~seq x] inserts [x] under an explicit
     tie-break counter instead of the internal one.  The scheduler keys
     every entry by its event id this way, so the counter of a popped
-    event {e is} its id, and a restored heap reproduces the original
-    pop order exactly.  The caller guarantees [seq] uniqueness; the
+    event {e is} its id.  The caller guarantees [seq] uniqueness; the
     internal counter is not advanced.  Allocates nothing beyond
     amortized growth. *)
 
@@ -70,18 +69,6 @@ val filter_seq : 'a t -> ('e -> int -> bool) -> 'e -> unit
     O(n).  The survivors keep their keys, so they pop in the same order
     as before.  Vacated slots are overwritten, and the call allocates
     nothing when [keep] is a top-level function. *)
-
-val next_seq : 'a t -> int
-(** Value the internal tie-break counter will assign next. *)
-
-val capture : 'a t -> (float * int * 'a) list
-(** All elements as [(prio, seq, value)] sorted in pop order.  Pure
-    read; the heap is unchanged. *)
-
-val restore : 'a t -> next_seq:int -> (float * int * 'a) list -> unit
-(** Replace the contents with the captured elements (under their
-    original tie-break counters) and set the internal counter, making
-    subsequent pops byte-identical to the captured heap's. *)
 
 val min_seq : 'a t -> ('e -> int -> bool) -> 'e -> int
 (** [min_seq t keep env] is the least tie-break counter [s] in the heap

@@ -1,9 +1,6 @@
 (* Splitmix64: tiny, fast, and passes BigCrush for our purposes.  State
    is a single 64-bit counter, which makes [split] trivial. *)
 
-(* lint: allow-file ckpt-coverage -- state/set_state are this module's
-   capture/restore pair; checkpoints carry the generator exactly *)
-
 (* The counter lives in an 8-byte buffer rather than a [mutable state :
    int64] field: an int64 field is a pointer to a boxed custom block,
    so every draw would allocate a fresh one, while the native compiler
@@ -29,13 +26,10 @@ let[@inline] mix z =
 
 let create seed = of_state (mix (Int64.of_int seed))
 
-(* Checkpoint/restore: the whole generator is one 64-bit counter, so
-   the explicit state API is exact — no reaching into opaque stdlib
-   [Random.State] internals, and a restored stream continues the
-   original sequence bit-for-bit. *)
+(* The whole generator is one 64-bit counter, so the explicit state API
+   is exact: a generator rebuilt from [state t] continues [t]'s
+   sequence bit-for-bit. *)
 let state t = get t
-
-let set_state t s = set t s
 
 let[@inline] bits64 t =
   let s = Int64.add (get t) golden_gamma in

@@ -19,14 +19,10 @@ val copy : t -> t
 
 val state : t -> int64
 (** [state t] is the complete generator state (splitmix64 is a single
-    64-bit counter).  [set_state t (state t')] makes [t] continue
-    [t']'s stream exactly; used by checkpoint/restore. *)
-
-val set_state : t -> int64 -> unit
-(** Overwrite the generator state in place. *)
+    64-bit counter). *)
 
 val of_state : int64 -> t
-(** Build a generator resuming from a captured {!state}. *)
+(** [of_state (state t)] continues [t]'s stream exactly. *)
 
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)

@@ -51,18 +51,12 @@ type taps = {
    float field of the mixed record [t] would. *)
 type clock = { mutable now : float }
 
-(* [rearm_times] is non-empty only between [restore] and the end of the
-   owning components' re-arm pass: it maps each restored pending id to
-   its fire time until the component that owns the event re-attaches a
-   closure via [rearm]. *)
 type t = {
   queue : (unit -> unit) Heap.t;
   mutable flags : Bytes.t;  (* bit [id - flag_base]: [id] is pending *)
   mutable flag_base : int;  (* a multiple of 8, <= every pending id *)
   mutable pending_count : int;
   mutable stale : int;  (* cancelled entries still in [queue] *)
-  mutable lanes : lane list;  (* every lane of this scheduler *)
-  rearm_times : (int, float) Hashtbl.t;
   clock : clock;
   mutable next_id : int;
   mutable fired : int;
@@ -91,8 +85,6 @@ let create () =
     flag_base = 0;
     pending_count = 0;
     stale = 0;
-    lanes = [];
-    rearm_times = Hashtbl.create 16;
     clock = { now = 0.0 };
     next_id = 0;
     fired = 0;
@@ -108,13 +100,8 @@ let flag_is_set t id =
   && Char.code (Bytes.unsafe_get t.flags byte) land (1 lsl (id land 7)) <> 0
 
 (* The least pending id: the heap holds it, since every lane entry
-   behind a head has a larger id than the head, except between
-   [restore] and the end of the re-arm pass, when it may still be
-   parked in [rearm_times]. *)
-let least_pending t =
-  let lo = Heap.min_seq t.queue flag_is_set t in
-  if Hashtbl.length t.rearm_times = 0 then lo
-  else Hashtbl.fold (fun id _ m -> if id < m then id else m) t.rearm_times lo
+   behind a head has a larger id than the head. *)
+let least_pending t = Heap.min_seq t.queue flag_is_set t
 
 (* Move the window so that it starts at the least pending id (or at
    [id], if that is less) and reaches past [id].  Sliding in place
@@ -226,8 +213,8 @@ let[@inline never] check_monotone t ~id ~time =
    next event lies beyond [horizon].  Only [`Fired] counts against
    run_until_empty's budget: a cancel-heavy run must still fire
    [max_events] real events. *)
-(* lint: hot step -- fires every simulated event; the events/s number
-   in BENCH_perf.json is mostly this function *)
+(* lint: hot step -- fires every simulated event; perfbench's sim.*
+   per-layer numbers are mostly this function *)
 let step t horizon =
   if Heap.is_empty t.queue then `Done
   else begin
@@ -284,85 +271,6 @@ let pending t = t.pending_count
 let events_fired t = t.fired
 
 let heap_length t = Heap.length t.queue
-
-(* --- checkpoint/restore -------------------------------------------- *)
-
-type state = {
-  s_clock : float;
-  s_next_id : int;
-  s_fired : int;
-  s_pending : (int * float) list;
-}
-
-(* Closures cannot be serialized, so a captured scheduler records only
-   which events are pending and when they fire.  On restore each owning
-   component re-attaches its closure through [rearm] (or a lane's owner
-   through [Lane.rearm]); heap tie-break counters equal event ids, so
-   re-inserting under seq = id reproduces the original pop order
-   exactly.  Pending events are the live heap entries plus every lane
-   pair behind its head (the head is in the heap), so the list, and
-   the checkpoint bytes, are the same as when every delivery sat in the
-   heap.  Cancelled-but-unpopped heap entries are deliberately dropped:
-   skipping them is side-effect-free. *)
-let capture t =
-  let queued =
-    List.concat_map
-      (fun l ->
-        List.init (Stdlib.max 0 (l.len - 1)) (fun i ->
-            let k = (l.head + 1 + i) land (Array.length l.ids - 1) in
-            (l.ids.(k), Float.Array.get l.times k)))
-      t.lanes
-  in
-  let pend =
-    List.filter_map
-      (fun (prio, seq, _) -> if flag_is_set t seq then Some (seq, prio) else None)
-      (Heap.capture t.queue)
-    @ queued
-  in
-  {
-    s_clock = t.clock.now;
-    s_next_id = t.next_id;
-    s_fired = t.fired;
-    s_pending = List.sort (fun (a, _) (b, _) -> Int.compare a b) pend;
-  }
-
-let restore t st =
-  Heap.clear t.queue;
-  List.iter
-    (fun l ->
-      l.head <- 0;
-      l.len <- 0)
-    t.lanes;
-  t.pending_count <- 0;
-  t.stale <- 0;
-  Hashtbl.reset t.rearm_times;
-  t.clock.now <- st.s_clock;
-  t.next_id <- st.s_next_id;
-  t.fired <- st.s_fired;
-  List.iter (fun (id, at) -> Hashtbl.replace t.rearm_times id at) st.s_pending;
-  Bytes.fill t.flags 0 (Bytes.length t.flags) '\000';
-  let lo = least_pending t in
-  t.flag_base <- (if lo < st.s_next_id then lo else st.s_next_id) land lnot 7;
-  ensure_flag_capacity t st.s_next_id
-
-let take_rearm t fn id =
-  match Hashtbl.find_opt t.rearm_times id with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Scheduler.%s: event %d is not awaiting restore" fn id)
-  | Some at ->
-      Hashtbl.remove t.rearm_times id;
-      set_flag t id;
-      t.pending_count <- t.pending_count + 1;
-      at
-
-let rearm t ~id action =
-  let at = take_rearm t "rearm" id in
-  Heap.add_with_seq t.queue ~prio:at ~seq:id action
-
-let unrestored t =
-  Hashtbl.fold (fun id _ acc -> id :: acc) t.rearm_times []
-  |> List.sort Int.compare
 
 (* --- delivery lanes ------------------------------------------------- *)
 
@@ -421,7 +329,6 @@ module Lane = struct
       }
     in
     l.fire <- (fun () -> fire l);
-    sched.lanes <- l :: sched.lanes;
     l
 
   let set_action l action = l.action <- action
@@ -449,25 +356,5 @@ module Lane = struct
     t.pending_count <- t.pending_count + 1;
     if l.len = 0 then Heap.add_with_seq t.queue ~prio:time ~seq:id l.fire;
     append l ~time ~id
-
-  (* Lanes are re-armed front to back, so each pair must follow the
-     lane's last one in (time, id) order, as it did when it was pushed. *)
-  let rearm l ~id =
-    let at = take_rearm l.owner "Lane.rearm" id in
-    if l.len > 0 then begin
-      let k = last_index l in
-      if at < Float.Array.get l.times k || id <= l.ids.(k) then
-        invalid_arg
-          (Printf.sprintf
-             "Scheduler.Lane.rearm: event %d at %g does not follow event %d \
-              at %g"
-             id at l.ids.(k) (Float.Array.get l.times k))
-    end
-    else Heap.add_with_seq l.owner.queue ~prio:at ~seq:id l.fire;
-    append l ~time:at ~id
-
-  let ids l =
-    let mask = Array.length l.ids - 1 in
-    List.init l.len (fun i -> l.ids.((l.head + i) land mask))
 end
 

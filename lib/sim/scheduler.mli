@@ -8,9 +8,8 @@
 type t
 
 type event_id = int
-(** Handle for cancelling a scheduled event.  The representation is
-    public so checkpoint codecs can serialize pending-event ownership;
-    ids are dense, start at 0 and never repeat within a run. *)
+(** Handle for cancelling a scheduled event.  Ids are dense, start at 0
+    and never repeat within a run. *)
 
 val create : unit -> t
 
@@ -68,43 +67,6 @@ val set_registry : t -> Obs.Registry.t option -> unit
 val events_fired : t -> int
 (** Total number of events executed so far. *)
 
-(** {1 Checkpoint/restore}
-
-    Closures cannot be serialized, so a checkpoint stores only the
-    scheduler scalars plus the (id, fire-time) pairs of pending events.
-    [restore] empties the queue and every lane and parks those pairs;
-    each component that owns an event then calls {!rearm} (or
-    {!Lane.rearm}) to re-attach it under the original id, which
-    reproduces the original pop order byte-for-byte (tie-break counters
-    equal event ids).  {!unrestored} must be empty before the simulation
-    is resumed. *)
-
-type state = {
-  s_clock : float;
-  s_next_id : int;
-  s_fired : int;
-  s_pending : (event_id * float) list;  (** ascending id *)
-}
-
-val capture : t -> state
-(** Pure read of the complete scheduler state, lane entries included;
-    cancelled events are excluded (skipping them is side-effect-free). *)
-
-val restore : t -> state -> unit
-(** Reset the scheduler to [state] with an empty queue; every pending
-    id awaits a {!rearm} call from its owning component. *)
-
-val rearm : t -> id:event_id -> (unit -> unit) -> unit
-(** [rearm t ~id f] re-attaches closure [f] to restored pending event
-    [id] at its captured fire time.  Raises [Invalid_argument] if [id]
-    is not awaiting restore (double re-arm, or not pending in the
-    checkpoint). *)
-
-val unrestored : t -> event_id list
-(** Restored pending ids not yet re-armed, ascending.  Non-empty after
-    the components' re-arm pass means the checkpoint recorded an event
-    no component claims — the caller must fail rather than resume. *)
-
 (** {1 Delivery lanes}
 
     A lane is a FIFO of events that share one action and fire in the
@@ -139,13 +101,4 @@ module Lane : sig
       next entry into the heap, run the lane's action.  The scheduler
       calls it when the front entry fires; calling it from anywhere
       else breaks the lane. *)
-
-  val ids : t -> event_id list
-  (** Event ids of the pending entries, front first (ascending). *)
-
-  val rearm : t -> id:event_id -> unit
-  (** [rearm l ~id] re-attaches restored pending event [id] to the back
-      of the lane at its captured fire time.  Entries must be re-armed
-      front first.  Raises [Invalid_argument] if [id] is not awaiting
-      restore or does not follow the lane's last entry. *)
 end

@@ -1,6 +1,3 @@
-(* lint: allow-file ckpt-coverage -- the only mutable field is the live
-   sink closure, reinstalled by the driver on resume, not run state *)
-
 type level = Debug | Info | Warn
 
 type record = { time : float; level : level; component : string; message : string }

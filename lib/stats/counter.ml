@@ -13,7 +13,3 @@ let rate t ~now =
   if span <= 0.0 then 0.0 else float_of_int t.count /. span
 
 let reset t = t.count <- 0
-
-let capture t = t.count
-
-let restore t n = t.count <- n

@@ -19,8 +19,3 @@ val rate : t -> now:float -> float
 (** Events per second since the enable time. *)
 
 val reset : t -> unit
-
-val capture : t -> int
-(** The accumulated count ([enable_after] is configuration). *)
-
-val restore : t -> int -> unit

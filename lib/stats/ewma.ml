@@ -26,11 +26,3 @@ let samples t = t.samples
 let reset t =
   t.f.avg <- 0.0;
   t.samples <- 0
-
-type state = { s_avg : float; s_samples : int }
-
-let capture t = { s_avg = t.f.avg; s_samples = t.samples }
-
-let restore t st =
-  t.f.avg <- st.s_avg;
-  t.samples <- st.s_samples

@@ -23,10 +23,3 @@ val samples : t -> int
 (** Number of samples absorbed. *)
 
 val reset : t -> unit
-
-type state = { s_avg : float; s_samples : int }
-(** Complete mutable state (the weight is configuration). *)
-
-val capture : t -> state
-
-val restore : t -> state -> unit

@@ -33,24 +33,3 @@ let reset t ~start ~value =
   t.last_time <- start;
   t.last_value <- value;
   t.weighted_sum <- 0.0
-
-type state = {
-  s_start : float;
-  s_last_time : float;
-  s_last_value : float;
-  s_weighted_sum : float;
-}
-
-let capture t =
-  {
-    s_start = t.start;
-    s_last_time = t.last_time;
-    s_last_value = t.last_value;
-    s_weighted_sum = t.weighted_sum;
-  }
-
-let restore t st =
-  t.start <- st.s_start;
-  t.last_time <- st.s_last_time;
-  t.last_value <- st.s_last_value;
-  t.weighted_sum <- st.s_weighted_sum

@@ -21,14 +21,3 @@ val current : t -> float
 
 val reset : t -> start:float -> value:float -> unit
 (** Restart accumulation (used to discard a warm-up interval). *)
-
-type state = {
-  s_start : float;
-  s_last_time : float;
-  s_last_value : float;
-  s_weighted_sum : float;
-}
-
-val capture : t -> state
-
-val restore : t -> state -> unit

@@ -37,30 +37,6 @@ let min t = t.m.min
 
 let max t = t.m.max
 
-type state = {
-  s_n : int;
-  s_mean : float;
-  s_m2 : float;
-  s_min : float;
-  s_max : float;
-}
-
-let capture t =
-  {
-    s_n = t.n;
-    s_mean = t.m.mean;
-    s_m2 = t.m.m2;
-    s_min = t.m.min;
-    s_max = t.m.max;
-  }
-
-let restore t st =
-  t.n <- st.s_n;
-  t.m.mean <- st.s_mean;
-  t.m.m2 <- st.s_m2;
-  t.m.min <- st.s_min;
-  t.m.max <- st.s_max
-
 let copy t = { n = t.n; m = { t.m with mean = t.m.mean } }
 
 let merge a b =

@@ -27,15 +27,3 @@ val max : t -> float
 
 val merge : t -> t -> t
 (** Combine two accumulators (Chan's parallel formula). *)
-
-type state = {
-  s_n : int;
-  s_mean : float;
-  s_m2 : float;
-  s_min : float;
-  s_max : float;
-}
-
-val capture : t -> state
-
-val restore : t -> state -> unit

@@ -12,12 +12,11 @@ type t = {
   mutable duplicates : int;
   window : window option;
   local_options : Options.t;  (* offered at SYN time *)
-  mutable t0 : float;  (* application drain epoch *)
+  t0 : float;  (* application drain epoch *)
   mutable wscale : int;  (* effective shift for the advertised field *)
   mutable sack_ok : bool;
   mutable rst_strict : bool;  (* RFC 5961 on; off = legacy in-window accept *)
   mutable closed : bool;  (* an accepted RST tore the connection down *)
-  mutable syn_received : bool;
   mutable rst_accepted : int;
   mutable rst_challenged : int;
   mutable rst_dropped : int;
@@ -197,7 +196,6 @@ let on_syn t ~options ~sent_at =
         let negotiated = Options.negotiate offered t.local_options in
         t.wscale <- negotiated.Options.wscale;
         t.sack_ok <- negotiated.Options.sack_ok;
-        t.syn_received <- true;
         let pkt =
           Net.Network.make_packet t.net ~flow:t.flow
             ~src:(Net.Node.id t.node) ~dst:(Net.Packet.Unicast t.peer)
@@ -219,69 +217,6 @@ let on_probe t ~sent_at =
        plain duplicate ack carrying the current field. *)
     send_ack t ~echo:sent_at ~ece:false
   end
-
-type state = {
-  s_ooo : int list;  (* ascending *)
-  s_recent : int list;  (* recency order, as held *)
-  s_expected : int;
-  s_received_total : int;
-  s_duplicates : int;
-  s_t0 : float;
-  s_wscale : int;
-  s_sack_ok : bool;
-  s_rst_strict : bool;
-  s_closed : bool;
-  s_syn_received : bool;
-  s_rst_accepted : int;
-  s_rst_challenged : int;
-  s_rst_dropped : int;
-  s_challenge_acks : int;
-  s_ghost_data : int;
-  s_probes_received : int;
-}
-
-let capture t =
-  {
-    s_ooo =
-      Hashtbl.fold (fun seq () acc -> seq :: acc) t.ooo []
-      |> List.sort Int.compare;
-    s_recent = t.recent;
-    s_expected = t.expected;
-    s_received_total = t.received_total;
-    s_duplicates = t.duplicates;
-    s_t0 = t.t0;
-    s_wscale = t.wscale;
-    s_sack_ok = t.sack_ok;
-    s_rst_strict = t.rst_strict;
-    s_closed = t.closed;
-    s_syn_received = t.syn_received;
-    s_rst_accepted = t.rst_accepted;
-    s_rst_challenged = t.rst_challenged;
-    s_rst_dropped = t.rst_dropped;
-    s_challenge_acks = t.challenge_acks;
-    s_ghost_data = t.ghost_data;
-    s_probes_received = t.probes_received;
-  }
-
-let restore t st =
-  Hashtbl.reset t.ooo;
-  List.iter (fun seq -> Hashtbl.replace t.ooo seq ()) st.s_ooo;
-  t.recent <- st.s_recent;
-  t.expected <- st.s_expected;
-  t.received_total <- st.s_received_total;
-  t.duplicates <- st.s_duplicates;
-  t.t0 <- st.s_t0;
-  t.wscale <- st.s_wscale;
-  t.sack_ok <- st.s_sack_ok;
-  t.rst_strict <- st.s_rst_strict;
-  t.closed <- st.s_closed;
-  t.syn_received <- st.s_syn_received;
-  t.rst_accepted <- st.s_rst_accepted;
-  t.rst_challenged <- st.s_rst_challenged;
-  t.rst_dropped <- st.s_rst_dropped;
-  t.challenge_acks <- st.s_challenge_acks;
-  t.ghost_data <- st.s_ghost_data;
-  t.probes_received <- st.s_probes_received
 
 let create ?window ?(wscale = 0) ?(rst_strict = true) ~net ~node ~flow ~peer ()
     =
@@ -310,7 +245,6 @@ let create ?window ?(wscale = 0) ?(rst_strict = true) ~net ~node ~flow ~peer ()
       sack_ok = true;
       rst_strict;
       closed = false;
-      syn_received = false;
       rst_accepted = 0;
       rst_challenged = 0;
       rst_dropped = 0;

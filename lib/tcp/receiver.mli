@@ -74,29 +74,3 @@ val ghost_data : t -> int
 
 val probes_received : t -> int
 (** Zero-window probes answered. *)
-
-type state = {
-  s_ooo : int list;  (** out-of-order set, ascending *)
-  s_recent : int list;  (** SACK block representatives, recency order *)
-  s_expected : int;
-  s_received_total : int;
-  s_duplicates : int;
-  s_t0 : float;
-  s_wscale : int;
-  s_sack_ok : bool;
-  s_rst_strict : bool;
-  s_closed : bool;
-  s_syn_received : bool;
-  s_rst_accepted : int;
-  s_rst_challenged : int;
-  s_rst_dropped : int;
-  s_challenge_acks : int;
-  s_ghost_data : int;
-  s_probes_received : int;
-}
-
-val capture : t -> state
-
-val restore : t -> state -> unit
-(** Acks are sent synchronously on data arrival, so the receiver owns
-    no scheduler events; restore is pure state overwrite. *)

@@ -67,25 +67,6 @@ let backoff t = if timeout t < t.e.max_rto then t.shift <- t.shift + 1
 
 let at_max t = timeout t >= t.e.max_rto
 
+let backoff_shift t = t.shift
+
 let has_sample t = t.samples > 0
-
-type state = {
-  s_srtt : float;
-  s_rttvar : float;
-  s_shift : int;
-  s_samples : int;
-}
-
-let capture t =
-  {
-    s_srtt = t.e.srtt;
-    s_rttvar = t.e.rttvar;
-    s_shift = t.shift;
-    s_samples = t.samples;
-  }
-
-let restore t st =
-  t.e.srtt <- st.s_srtt;
-  t.e.rttvar <- st.s_rttvar;
-  t.shift <- st.s_shift;
-  t.samples <- st.s_samples

@@ -31,16 +31,8 @@ val backoff : t -> unit
 val at_max : t -> bool
 (** The timeout has hit the [max_rto] ceiling. *)
 
+val backoff_shift : t -> int
+(** Backoffs in force: the timeout is the base timeout times
+    [2^backoff_shift], clamped to [max_rto]. *)
+
 val has_sample : t -> bool
-
-type state = {
-  s_srtt : float;
-  s_rttvar : float;
-  s_shift : int;
-  s_samples : int;
-}
-(** Complete estimator state ([min_rto]/[max_rto] are configuration). *)
-
-val capture : t -> state
-
-val restore : t -> state -> unit

@@ -262,78 +262,6 @@ let in_flight_window t = t.next_seq - t.high_ack
 
 let pipe t = in_flight_window t - t.sacked_cnt - t.lost_cnt + t.rexmit_out
 
-type entry_state = {
-  e_seq : int;
-  e_sacked : bool;
-  e_lost : bool;
-  e_rexmitted : bool;
-  e_rexmit_time : float;
-}
-
-type state = {
-  s_entries : entry_state list;  (* ascending seq *)
-  s_high_ack : int;
-  s_next_seq : int;
-  s_highest_sacked : int;
-  s_sacked_cnt : int;
-  s_lost_cnt : int;
-  s_rexmit_out : int;
-  s_loss_floor : int;
-}
-
-(* Slots with a zero flag byte are exactly the sequence numbers the old
-   hash-table representation had no entry for (an entry was only ever
-   created together with at least one flag), so capturing the non-zero
-   slots in ascending window order reproduces the historical state
-   byte-for-byte. *)
-let capture t =
-  let es = ref [] in
-  for seq = t.next_seq - 1 downto t.high_ack do
-    let f = get_flags t seq in
-    if f <> 0 then
-      es :=
-        {
-          e_seq = seq;
-          e_sacked = f land f_sacked <> 0;
-          e_lost = f land f_lost <> 0;
-          e_rexmitted = f land f_rexmitted <> 0;
-          e_rexmit_time = t.rexmit_time.(slot t seq);
-        }
-        :: !es
-  done;
-  {
-    s_entries = !es;
-    s_high_ack = t.high_ack;
-    s_next_seq = t.next_seq;
-    s_highest_sacked = t.highest_sacked;
-    s_sacked_cnt = t.sacked_cnt;
-    s_lost_cnt = t.lost_cnt;
-    s_rexmit_out = t.rexmit_out;
-    s_loss_floor = t.loss_floor;
-  }
-
-let restore t st =
-  t.high_ack <- st.s_high_ack;
-  t.next_seq <- st.s_next_seq;
-  ensure_capacity t (st.s_next_seq - st.s_high_ack);
-  Bytes.fill t.flags 0 t.cap '\000';
-  Array.fill t.rexmit_time 0 t.cap 0.0;
-  List.iter
-    (fun e ->
-      let f =
-        (if e.e_sacked then f_sacked else 0)
-        lor (if e.e_lost then f_lost else 0)
-        lor if e.e_rexmitted then f_rexmitted else 0
-      in
-      set_flags t e.e_seq f;
-      t.rexmit_time.(slot t e.e_seq) <- e.e_rexmit_time)
-    st.s_entries;
-  t.highest_sacked <- st.s_highest_sacked;
-  t.sacked_cnt <- st.s_sacked_cnt;
-  t.lost_cnt <- st.s_lost_cnt;
-  t.rexmit_out <- st.s_rexmit_out;
-  t.loss_floor <- st.s_loss_floor
-
 let check_invariants t =
   let sacked = ref 0 and lost = ref 0 and rexmit = ref 0 in
   for seq = t.high_ack to t.next_seq - 1 do

@@ -102,26 +102,3 @@ val is_rexmitted : t -> int -> bool
 val check_invariants : t -> unit
 (** Recompute counters from scratch and raise [Assert_failure] on
     mismatch (test support). *)
-
-type entry_state = {
-  e_seq : int;
-  e_sacked : bool;
-  e_lost : bool;
-  e_rexmitted : bool;
-  e_rexmit_time : float;
-}
-
-type state = {
-  s_entries : entry_state list;  (** ascending seq *)
-  s_high_ack : int;
-  s_next_seq : int;
-  s_highest_sacked : int;
-  s_sacked_cnt : int;
-  s_lost_cnt : int;
-  s_rexmit_out : int;
-  s_loss_floor : int;
-}
-
-val capture : t -> state
-
-val restore : t -> state -> unit

@@ -70,7 +70,6 @@ type t = {
   (* One shared closure for every RTO (re)arm — the timer is re-armed
      on each delivering ack, so a per-arm closure is hot-path litter. *)
   mutable timeout_thunk : unit -> unit;
-  mutable start_event : Sim.Scheduler.event_id option;
   (* connection establishment (params.handshake) *)
   mutable established : bool;
   mutable syn_sent : int;
@@ -493,7 +492,6 @@ let create ~net ~src ~dst ?(params = default_params) ?(start_at = 0.0) () =
       recover_point = 0;
       timer = no_timer;
       timeout_thunk = ignore;
-      start_event = None;
       established = not params.handshake;
       syn_sent = 0;
       neg_wscale = (if params.handshake then 0 else params.wscale);
@@ -553,124 +551,7 @@ let create ~net ~src ~dst ?(params = default_params) ?(start_at = 0.0) () =
       | _ -> ());
   (* Random sub-RTT stagger avoids artificial start synchronisation. *)
   let stagger = Sim.Rng.float (Net.Network.fork_rng net) 0.1 in
-  t.start_event <-
-    Some
-      (Sim.Scheduler.schedule_at (Net.Network.scheduler net) (start +. stagger)
-         (fun () ->
-           t.start_event <- None;
-           if t.established then try_send t else send_syn t));
+  ignore
+    (Sim.Scheduler.schedule_at (Net.Network.scheduler net) (start +. stagger)
+       (fun () -> if t.established then try_send t else send_syn t));
   t
-
-(* --- checkpoint/restore -------------------------------------------- *)
-
-type state = {
-  s_sb : Scoreboard.state;
-  s_rto : Rto.state;
-  s_receiver : Receiver.state;
-  s_cwnd : float;
-  s_ssthresh : float;
-  s_in_recovery : bool;
-  s_recover_point : int;
-  s_timer : Sim.Scheduler.event_id option;
-  s_start_event : Sim.Scheduler.event_id option;
-  s_cwnd_avg : Stats.Time_avg.state;
-  s_rtt : Stats.Welford.state;
-  s_sent_new : int;
-  s_retransmits : int;
-  s_window_cuts : int;
-  s_timeouts : int;
-  s_meas_time : float;
-  s_meas_delivered : int;
-  s_meas_sent_new : int;
-  s_meas_retransmits : int;
-  s_meas_window_cuts : int;
-  s_meas_timeouts : int;
-  s_completed_at : float option;
-  s_established : bool;
-  s_syn_sent : int;
-  s_neg_wscale : int;
-  s_rwnd_field : int;
-  s_persist_timer : Sim.Scheduler.event_id option;
-  s_persist_shift : int;
-  s_zero_window_probes : int;
-  s_ghost_acks : int;
-}
-
-let capture t =
-  {
-    s_sb = Scoreboard.capture t.sb;
-    s_rto = Rto.capture t.rto;
-    s_receiver = Receiver.capture t.receiver;
-    s_cwnd = t.w.cwnd;
-    s_ssthresh = t.w.ssthresh;
-    s_in_recovery = t.in_recovery;
-    s_recover_point = t.recover_point;
-    s_timer = (if t.timer = no_timer then None else Some t.timer);
-    s_start_event = t.start_event;
-    s_cwnd_avg = Stats.Time_avg.capture t.cwnd_avg;
-    s_rtt = Stats.Welford.capture !(t.rtt);
-    s_sent_new = t.sent_new;
-    s_retransmits = t.retransmits;
-    s_window_cuts = t.window_cuts;
-    s_timeouts = t.timeouts;
-    s_meas_time = t.meas_time;
-    s_meas_delivered = t.meas_delivered;
-    s_meas_sent_new = t.meas_sent_new;
-    s_meas_retransmits = t.meas_retransmits;
-    s_meas_window_cuts = t.meas_window_cuts;
-    s_meas_timeouts = t.meas_timeouts;
-    s_completed_at = t.completed_at;
-    s_established = t.established;
-    s_syn_sent = t.syn_sent;
-    s_neg_wscale = t.neg_wscale;
-    s_rwnd_field = t.rwnd_field;
-    s_persist_timer = t.persist_timer;
-    s_persist_shift = t.persist_shift;
-    s_zero_window_probes = t.zero_window_probes;
-    s_ghost_acks = t.ghost_acks;
-  }
-
-let restore t st =
-  Scoreboard.restore t.sb st.s_sb;
-  Rto.restore t.rto st.s_rto;
-  Receiver.restore t.receiver st.s_receiver;
-  t.w.cwnd <- st.s_cwnd;
-  t.w.ssthresh <- st.s_ssthresh;
-  t.in_recovery <- st.s_in_recovery;
-  t.recover_point <- st.s_recover_point;
-  t.timer <- Option.value st.s_timer ~default:no_timer;
-  t.start_event <- st.s_start_event;
-  t.established <- st.s_established;
-  t.syn_sent <- st.s_syn_sent;
-  t.neg_wscale <- st.s_neg_wscale;
-  t.rwnd_field <- st.s_rwnd_field;
-  t.persist_timer <- st.s_persist_timer;
-  t.persist_shift <- st.s_persist_shift;
-  t.zero_window_probes <- st.s_zero_window_probes;
-  t.ghost_acks <- st.s_ghost_acks;
-  let sched = Net.Network.scheduler t.net in
-  (match st.s_timer with
-  | None -> ()
-  | Some id -> Sim.Scheduler.rearm sched ~id t.timeout_thunk);
-  (match st.s_persist_timer with
-  | None -> ()
-  | Some id -> Sim.Scheduler.rearm sched ~id t.persist_thunk);
-  (match st.s_start_event with
-  | None -> ()
-  | Some id ->
-      Sim.Scheduler.rearm sched ~id (fun () ->
-          t.start_event <- None;
-          if t.established then try_send t else send_syn t));
-  Stats.Time_avg.restore t.cwnd_avg st.s_cwnd_avg;
-  Stats.Welford.restore !(t.rtt) st.s_rtt;
-  t.sent_new <- st.s_sent_new;
-  t.retransmits <- st.s_retransmits;
-  t.window_cuts <- st.s_window_cuts;
-  t.timeouts <- st.s_timeouts;
-  t.meas_time <- st.s_meas_time;
-  t.meas_delivered <- st.s_meas_delivered;
-  t.meas_sent_new <- st.s_meas_sent_new;
-  t.meas_retransmits <- st.s_meas_retransmits;
-  t.meas_window_cuts <- st.s_meas_window_cuts;
-  t.meas_timeouts <- st.s_meas_timeouts;
-  t.completed_at <- st.s_completed_at

@@ -153,47 +153,3 @@ val stop : t -> unit
     for data already in flight keep draining.  After [stop] the flow
     reports {!is_complete}.  Idempotent; a no-op on flows that already
     completed. *)
-
-(** {2 Checkpoint/restore} *)
-
-type state = {
-  s_sb : Scoreboard.state;
-  s_rto : Rto.state;
-  s_receiver : Receiver.state;
-  s_cwnd : float;
-  s_ssthresh : float;
-  s_in_recovery : bool;
-  s_recover_point : int;
-  s_timer : Sim.Scheduler.event_id option;
-  s_start_event : Sim.Scheduler.event_id option;
-  s_cwnd_avg : Stats.Time_avg.state;
-  s_rtt : Stats.Welford.state;
-  s_sent_new : int;
-  s_retransmits : int;
-  s_window_cuts : int;
-  s_timeouts : int;
-  s_meas_time : float;
-  s_meas_delivered : int;
-  s_meas_sent_new : int;
-  s_meas_retransmits : int;
-  s_meas_window_cuts : int;
-  s_meas_timeouts : int;
-  s_completed_at : float option;
-  s_established : bool;
-  s_syn_sent : int;
-  s_neg_wscale : int;
-  s_rwnd_field : int;
-  s_persist_timer : Sim.Scheduler.event_id option;
-  s_persist_shift : int;
-  s_zero_window_probes : int;
-  s_ghost_acks : int;
-}
-
-val capture : t -> state
-(** Pure read of the complete sender+receiver endpoint state, including
-    pending retransmission-timer and start-stagger event ids. *)
-
-val restore : t -> state -> unit
-(** Overwrite a freshly created sender (same construction order) and
-    re-arm its pending events under their original ids.  Must run after
-    [Sim.Scheduler.restore] on the same scheduler. *)

@@ -185,11 +185,12 @@ let test_invariants_do_not_perturb_run () =
         checked_json)
 
 let test_checkpoint_restore_byte_identical () =
-  (* The ISSUE's core acceptance: a run restored from a checkpoint at
-     T/2 and driven to T must be byte-identical — exported registry
-     JSON, event journal, fairness numbers — to the uninterrupted run.
-     Also checks that writing checkpoints is passive (the checkpointed
-     run itself equals the plain run). *)
+  (* A run restored from a checkpoint at T/2 (replayed to T/2 from the
+     file's config and checked against its digest) and driven to T must
+     be byte-identical — exported registry JSON, event journal rebuilt
+     by the replay, fairness numbers — to the uninterrupted run.  Also
+     checks that writing checkpoints is passive (the checkpointed run
+     itself equals the plain run). *)
   let config =
     {
       (Experiments.Sharing.default_config ~gateway:Experiments.Scenario.Droptail
@@ -238,6 +239,8 @@ let test_checkpoint_restore_byte_identical () =
         Ckpt.Sharing_ckpt.checkpoint_file ~dir ~prefix:"integ" ~time:20.0
       in
       Alcotest.(check bool) "t=20 checkpoint exists" true (Sys.file_exists path);
+      Alcotest.(check bool) "checkpoint holds no simulation state" true
+        (In_channel.with_open_bin path In_channel.length < 4096L);
       match Ckpt.Sharing_ckpt.load ~path with
       | Error e -> Alcotest.fail (Ckpt.Sharing_ckpt.error_to_string e)
       | Ok loaded ->

@@ -81,24 +81,6 @@ let test_unused_export () =
   Alcotest.(check int) "strict mode promotes warnings" 1
     (Lint.Driver.exit_code ~strict:true fs)
 
-let test_ckpt_coverage () =
-  let fs = run [ fx "ckpt_coverage" ] in
-  (* Only uncovered.ml fires: covered.ml exports the pair, waived.ml
-     carries an allow-file annotation, immutable.ml has no mutable
-     field. *)
-  check_count fs ~rule:"ckpt-coverage" 1;
-  match
-    List.find_opt (fun (f : Lint.Finding.t) -> f.rule = "ckpt-coverage") fs
-  with
-  | None -> Alcotest.fail "expected a ckpt-coverage finding"
-  | Some f ->
-      Alcotest.(check string) "flags the uncovered module" "uncovered.ml"
-        (Filename.basename f.file);
-      (* Anchored at the mutable field, not line 1. *)
-      Alcotest.(check int) "mutable-field line" 4 f.line;
-      Alcotest.(check bool) "advisory severity" true
-        (f.severity = Lint.Finding.Warning)
-
 (* --- escape analysis (domain safety) ------------------------------- *)
 
 let has_sub s sub =
@@ -286,7 +268,7 @@ let test_scope_key () =
   check_key "fixtures/lint/clean/pure.ml" None
 
 let test_parse_interface () =
-  let mli = fx (Filename.concat "ckpt_coverage" "covered.mli") in
+  let mli = fx (Filename.concat "clean" "good.mli") in
   match Lint.Driver.parse_interface mli with
   | Ok sg -> Alcotest.(check bool) "non-empty signature" true (sg <> [])
   | Error e -> Alcotest.fail ("fixture interface failed to parse: " ^ e)
@@ -297,9 +279,10 @@ let test_json_round_trip () =
   let fs = run [ fx "poly_compare"; fx "wall_clock" ] in
   Alcotest.(check bool) "fixture produced findings" true (fs <> []);
   let json = Lint.Driver.to_json fs in
-  match Lint.Json.of_string (Lint.Json.to_string json) with
-  | Error e -> Alcotest.fail ("json reparse failed: " ^ e)
-  | Ok reparsed -> (
+  match Runner.Json.of_string (Runner.Json.to_string json) with
+  | exception Runner.Json.Parse_error e ->
+      Alcotest.fail ("json reparse failed: " ^ e)
+  | reparsed -> (
       match Lint.Driver.of_json reparsed with
       | Error e -> Alcotest.fail ("findings decode failed: " ^ e)
       | Ok fs' ->
@@ -330,7 +313,7 @@ let test_text_rendering () =
 let test_sarif_output () =
   let fs = run [ fx "wall_clock"; fx (Filename.concat "hot" "firing.ml") ] in
   Alcotest.(check bool) "fixtures produced findings" true (fs <> []);
-  let sarif = Lint.Json.to_string (Lint.Driver.to_sarif fs) in
+  let sarif = Runner.Json.to_string (Lint.Driver.to_sarif fs) in
   Alcotest.(check bool) "declares SARIF 2.1.0" true
     (has_sub sarif "\"version\":\"2.1.0\"");
   Alcotest.(check bool) "carries the schema URI" true
@@ -350,9 +333,10 @@ let test_sarif_output () =
   Alcotest.(check bool) "results carry physical locations" true
     (has_sub sarif "physicalLocation" && has_sub sarif "startLine");
   (* SARIF must remain parseable JSON. *)
-  match Lint.Json.of_string sarif with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail ("SARIF output is not valid JSON: " ^ e)
+  match Runner.Json.of_string sarif with
+  | _ -> ()
+  | exception Runner.Json.Parse_error e ->
+      Alcotest.fail ("SARIF output is not valid JSON: " ^ e)
 
 (* --- the tree itself ----------------------------------------------- *)
 
@@ -470,7 +454,6 @@ let () =
           Alcotest.test_case "mli-required" `Quick test_mli_required;
           Alcotest.test_case "parse-error" `Quick test_parse_error;
           Alcotest.test_case "unused-export" `Quick test_unused_export;
-          Alcotest.test_case "ckpt-coverage" `Quick test_ckpt_coverage;
         ] );
       ( "escape",
         [

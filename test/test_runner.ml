@@ -146,6 +146,45 @@ let test_json_float_roundtrip () =
             f (float_of_string s))
     [ 0.1; 1.0 /. 3.0; 2.492776886035313; 1e-9; 123456.789; 54.0 ]
 
+(* Reference for the emitter's float rendering: the linear search over
+   precisions 1..17 that the binary search replaced. *)
+let linear_float_repr f =
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else
+    let rec go p =
+      if p > 17 then Printf.sprintf "%.17g" f
+      else
+        let s = Printf.sprintf "%.*g" p f in
+        if float_of_string s = f then s else go (p + 1)
+    in
+    go 1
+
+(* Every bit pattern, short decimals, integers around the %.1f cut-off,
+   and sums/quotients like the ones simulation metrics are made of. *)
+let arb_mixed_float =
+  let open QCheck.Gen in
+  let any_bits = map Int64.float_of_bits ui64 in
+  let short_decimal =
+    map2
+      (fun k d -> float_of_int k /. (10.0 ** float_of_int d))
+      (-100000 -- 100000) (0 -- 12)
+  in
+  let integral = map (fun e -> Float.round (2.0 ** float_of_int e)) (0 -- 60) in
+  let computed =
+    map2
+      (fun a b -> a /. (b +. 1.0))
+      (float_bound_inclusive 1e4) (float_bound_inclusive 1e3)
+  in
+  QCheck.make ~print:(Printf.sprintf "%h")
+    (frequency
+       [ (3, any_bits); (2, short_decimal); (1, integral); (3, computed) ])
+
+let prop_float_repr_matches_linear =
+  QCheck.Test.make ~name:"float rendering = linear precision search"
+    ~count:20000 arb_mixed_float (fun f ->
+      Runner.Json.to_string (Runner.Json.Float f) = linear_float_repr f)
+
 let test_json_parse_roundtrip () =
   (* The bench-trend gate reads perf documents back with [of_string];
      emit → parse must be the identity on everything the emitter
@@ -221,6 +260,7 @@ let () =
         [
           Alcotest.test_case "emitter" `Quick test_json_emitter;
           Alcotest.test_case "float roundtrip" `Quick test_json_float_roundtrip;
+          QCheck_alcotest.to_alcotest prop_float_repr_matches_linear;
           Alcotest.test_case "parse roundtrip" `Quick test_json_parse_roundtrip;
           Alcotest.test_case "parse accessors" `Quick test_json_parse_accessors;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;

@@ -575,11 +575,7 @@ let prop_sched_cancel_survivors =
    run on integer times, so equal-time ties between lanes and plain
    events are common, and cancels pile up past the compaction
    threshold.  Fire order, [pending] and [events_fired] must match the
-   model after every operation.  At a random point the scheduler is
-   captured (the capture must list exactly the model's pending pairs),
-   restored into a second scheduler whose events and lanes are re-armed,
-   and captured again (identical); both schedulers then run the rest of
-   the sequence and must both follow the model. *)
+   model after every operation. *)
 type sched_op =
   | Sched of int  (* schedule_at now + k *)
   | Cancel of int
@@ -612,10 +608,9 @@ let arb_sched_run =
       ]
   in
   QCheck.make
-    ~print:(fun (ops, split) ->
-      Printf.sprintf "split %d: [%s]" split
-        (String.concat "; " (List.map show_sched_op ops)))
-    (pair (list_size (1 -- 400) op) (0 -- 1000))
+    ~print:(fun ops ->
+      Printf.sprintf "[%s]" (String.concat "; " (List.map show_sched_op ops)))
+    (list_size (1 -- 400) op)
 
 type model = {
   mutable m_now : float;
@@ -638,7 +633,7 @@ let model_fire_next m =
       m.m_fired <- id :: m.m_fired;
       true
 
-(* A scheduler under test: its lanes, the ids each lane will deliver
+(* The scheduler under test: its lanes, the ids each lane will deliver
    (front first) and the ids it fired, newest first. *)
 type harness = {
   s : Sim.Scheduler.t;
@@ -662,23 +657,21 @@ let make_harness () =
 
 let log_id h id () = h.log := id :: !(h.log)
 
-let apply_op m hs op =
+let apply_op m h op =
   match op with
   | Sched k ->
       let time = m.m_now +. float_of_int k and id = m.m_next in
       m.m_next <- id + 1;
       m.m_pending <- (time, id) :: m.m_pending;
       m.m_issued <- id :: m.m_issued;
-      List.for_all
-        (fun h -> Sim.Scheduler.schedule_at h.s time (log_id h id) = id)
-        hs
+      Sim.Scheduler.schedule_at h.s time (log_id h id) = id
   | Cancel n ->
       (match m.m_issued with
       | [] -> ()
       | issued ->
           let id = List.nth issued (n mod Stdlib.min 16 (List.length issued)) in
           m.m_pending <- List.filter (fun (_, i) -> i <> id) m.m_pending;
-          List.iter (fun h -> Sim.Scheduler.cancel h.s id) hs);
+          Sim.Scheduler.cancel h.s id);
       true
   | Push (l, k) ->
       let earliest = m.m_now +. float_of_int k in
@@ -686,26 +679,20 @@ let apply_op m hs op =
       m.m_next <- id + 1;
       m.m_lane_last.(l) <- time;
       m.m_pending <- (time, id) :: m.m_pending;
-      List.iter
-        (fun h ->
-          Sim.Scheduler.Lane.push h.lanes.(l) time;
-          Queue.push id h.lane_ids.(l))
-        hs;
+      Sim.Scheduler.Lane.push h.lanes.(l) time;
+      Queue.push id h.lane_ids.(l);
       true
   | Fire n ->
       for _ = 1 to n do
         ignore (model_fire_next m : bool)
       done;
-      List.iter
-        (fun h ->
-          let live = ref n in
-          while !live > 0 do
-            match Sim.Scheduler.step h.s infinity with
-            | `Fired -> decr live
-            | `Skipped -> ()
-            | `Done -> live := 0
-          done)
-        hs;
+      let live = ref n in
+      while !live > 0 do
+        match Sim.Scheduler.step h.s infinity with
+        | `Fired -> decr live
+        | `Skipped -> ()
+        | `Done -> live := 0
+      done;
       true
   | Run k ->
       let horizon = m.m_now +. float_of_int k in
@@ -717,41 +704,18 @@ let apply_op m hs op =
       in
       drain ();
       m.m_now <- horizon;
-      List.iter (fun h -> Sim.Scheduler.run_until h.s horizon) hs;
+      Sim.Scheduler.run_until h.s horizon;
       true
 
-(* [h] fired the model's events from the [skip]-th on. *)
-let agrees m ~skip h =
-  let fired = List.length m.m_fired in
-  List.rev !(h.log) = List.filteri (fun i _ -> i >= skip) (List.rev m.m_fired)
+let agrees m h =
+  !(h.log) = m.m_fired
   && Sim.Scheduler.pending h.s = List.length m.m_pending
-  && Sim.Scheduler.events_fired h.s = fired
+  && Sim.Scheduler.events_fired h.s = List.length m.m_fired
   && Sim.Scheduler.now h.s = m.m_now
 
-let restore_into (a : harness) =
-  let st = Sim.Scheduler.capture a.s in
-  let b = make_harness () in
-  Sim.Scheduler.restore b.s st;
-  let in_lane id =
-    Array.exists (fun q -> List.mem id (List.of_seq (Queue.to_seq q))) a.lane_ids
-  in
-  List.iter
-    (fun (id, _) ->
-      if not (in_lane id) then Sim.Scheduler.rearm b.s ~id (log_id b id))
-    st.Sim.Scheduler.s_pending;
-  Array.iteri
-    (fun l q ->
-      Queue.iter
-        (fun id ->
-          Sim.Scheduler.Lane.rearm b.lanes.(l) ~id;
-          Queue.push id b.lane_ids.(l))
-        q)
-    a.lane_ids;
-  (st, b)
-
 let prop_sched_differential =
-  QCheck.Test.make ~name:"scheduler = sorted-pairs model, across restore"
-    ~count:300 arb_sched_run (fun (ops, split) ->
+  QCheck.Test.make ~name:"scheduler = sorted-pairs model, lanes and ties"
+    ~count:300 arb_sched_run (fun ops ->
       let m =
         {
           m_now = 0.0;
@@ -762,34 +726,8 @@ let prop_sched_differential =
           m_fired = [];
         }
       in
-      let a = make_harness () in
-      let split = split mod (List.length ops + 1) in
-      let before = List.filteri (fun i _ -> i < split) ops
-      and after = List.filteri (fun i _ -> i >= split) ops in
-      let run hs ops ~skip =
-        List.for_all
-          (fun op ->
-            apply_op m hs op
-            && List.for_all2 (fun h skip -> agrees m ~skip h) hs skip)
-          ops
-      in
-      run [ a ] before ~skip:[ 0 ]
-      &&
-      let st, b = restore_into a in
-      let lane_ids_ok =
-        Array.for_all2
-          (fun lane q ->
-            Sim.Scheduler.Lane.ids lane = List.of_seq (Queue.to_seq q))
-          a.lanes a.lane_ids
-      in
-      lane_ids_ok
-      && st.Sim.Scheduler.s_pending
-         = List.sort compare
-             (List.map (fun (time, id) -> (id, time)) m.m_pending)
-      && Sim.Scheduler.unrestored b.s = []
-      && Sim.Scheduler.capture b.s = st
-      && run [ a; b ] after ~skip:[ 0; List.length m.m_fired ]
-      && Sim.Scheduler.capture a.s = Sim.Scheduler.capture b.s)
+      let h = make_harness () in
+      List.for_all (fun op -> apply_op m h op && agrees m h) ops)
 
 (* ------------------------------------------------------------------ *)
 (* Trace                                                              *)

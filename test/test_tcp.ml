@@ -74,14 +74,14 @@ let test_rto_at_max_freezes () =
     Tcp.Rto.backoff r
   done;
   Alcotest.(check bool) "at max" true (Tcp.Rto.at_max r);
-  let shift_before = (Tcp.Rto.capture r).Tcp.Rto.s_shift in
+  let shift_before = Tcp.Rto.backoff_shift r in
   (* The shift freezes at the ceiling: further backoffs are no-ops, so
      the exponent can never overflow however long the outage lasts. *)
   for _ = 1 to 100 do
     Tcp.Rto.backoff r
   done;
   Alcotest.(check int) "shift frozen" shift_before
-    (Tcp.Rto.capture r).Tcp.Rto.s_shift;
+    (Tcp.Rto.backoff_shift r);
   check_float "still capped" 8.0 (Tcp.Rto.timeout r)
 
 let test_rto_negative_sample () =
